@@ -87,8 +87,41 @@ class ExperimentConfig:
         return cls(kind=kind, params=params, base_dir=path.parent)
 
 
+def _int(params: dict, field: str, minimum: int | None = None) -> int:
+    raw = params[field]
+    if isinstance(raw, float) and not raw.is_integer():
+        raise BadConfig(f"field '{field}' must be an integer; got {raw!r}")
+    try:
+        value = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"field '{field}' must be an integer; got {raw!r}") from exc
+    if minimum is not None and value < minimum:
+        raise BadConfig(f"field '{field}' must be at least {minimum}; got {value}")
+    return value
+
+
+def _float(params: dict, field: str, default=None) -> float:
+    raw = params.get(field, default)
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"field '{field}' must be a number; got {raw!r}") from exc
+
+
+def _floats(params: dict, field: str) -> tuple[float, ...]:
+    raw = params[field]
+    if not isinstance(raw, list):
+        raise BadConfig(f"field '{field}' must be a list of numbers; got {raw!r}")
+    try:
+        return tuple(float(v) for v in raw)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"field '{field}' must be a list of numbers") from exc
+
+
 def _load_ensemble(obj, base_dir: Path, field: str) -> me.SourceEnsemble:
     if isinstance(obj, dict) and "csv" in obj:
+        if not isinstance(obj["csv"], str):
+            raise BadConfig(f"field '{field}' csv must be a path string")
         return me.ensemble_from_csv(base_dir / obj["csv"])
     try:
         weights = np.asarray(obj["weights"], dtype=float)
@@ -100,14 +133,14 @@ def _load_ensemble(obj, base_dir: Path, field: str) -> me.SourceEnsemble:
     return me.SourceEnsemble(space=me.MeasureSpace(weights=weights), values=values)
 
 
-def _load_matrix(obj, field: str) -> np.ndarray:
+def _load_array(obj, field: str, ndim: int) -> np.ndarray:
     try:
-        mat = np.asarray(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must be a numeric matrix") from exc
-    if mat.ndim != 2:
-        raise BadConfig(f"field '{field}' must be two-dimensional")
-    return mat
+        raise BadConfig(f"field '{field}' must be a numeric array") from exc
+    if arr.ndim != ndim:
+        raise BadConfig(f"field '{field}' must be {ndim}-dimensional")
+    return arr
 
 
 def _load_sequence(obj, field: str) -> st.CovarianceSequence:
@@ -122,11 +155,11 @@ def _load_sequence(obj, field: str) -> st.CovarianceSequence:
 
 def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
     return rp.RepresentationOperator(
-        target_map=_load_matrix(params["target_map"], "target_map"),
-        input_map=_load_matrix(params["input_map"], "input_map"),
+        target_map=_load_array(params["target_map"], "target_map", 2),
+        input_map=_load_array(params["input_map"], "input_map", 2),
         d=d,
         p=p,
-        mixing_norm=float(params.get("mixing_norm", 1.0)),
+        mixing_norm=_float(params, "mixing_norm", 1.0),
     )
 
 
@@ -135,7 +168,7 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
 
 
 def _run_envelope_check(params: dict, base_dir: Path):
-    tol = float(params.get("tol", 1e-9))
+    tol = _float(params, "tol", 1e-9)
     source = _load_ensemble(params["source"], base_dir, "source")
     candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
     member, margin = env.is_member(candidate, source, tol=tol)
@@ -159,14 +192,14 @@ def _run_minimize(params: dict, base_dir: Path):
     rep = _representation(params, source.d, source.p)
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)
-    rank_tol = float(params.get("rank_tol", cm.DEFAULT_RANK_RTOL))
+    rank_tol = _float(params, "rank_tol", cm.DEFAULT_RANK_RTOL)
     report = {
         "kind": "minimize",
         "coercivity_margin": cm.coercivity_margin(system),
         "target_energy": system.target_energy,
     }
     if "c_min" in params:
-        est = cm.solve_coercive(system, float(params["c_min"]))
+        est = cm.solve_coercive(system, _float(params, "c_min"))
         kernel_dim, unique = 0, True
     else:
         outcome = cm.solution_set(system, rank_tol=rank_tol)
@@ -203,13 +236,16 @@ def _run_minimize(params: dict, base_dir: Path):
 def _run_verify_extremal(params: dict, base_dir: Path):
     source = _load_ensemble(params["source"], base_dir, "source")
     rep = _representation(params, source.d, source.p)
-    spec = me.BaselineSpec(sigma_xi=_load_matrix(params["sigma_xi"], "sigma_xi"))
-    seed = int(params["seed"])
-    tol = float(params.get("tol", 1e-9))
+    spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
+    seed = _int(params, "seed", minimum=0)
+    tol = _float(params, "tol", 1e-9)
+    n_operators = _int(params, "n_operators", minimum=1)
+    n_samples = _int(params, "n_samples", minimum=0)
+    shrink_floor = _float(params, "shrink_floor", 0.0)
     rng = np.random.default_rng(seed)
     estimators = [
         cm.HSOperator(coeffs=rng.standard_normal((rep.p_out, rep.q)))
-        for _ in range(int(params["n_operators"]))
+        for _ in range(n_operators)
     ]
     rep_report = env.verify_extremal(
         source,
@@ -217,9 +253,9 @@ def _run_verify_extremal(params: dict, base_dir: Path):
         rep,
         estimators,
         seed=seed,
-        n_samples=int(params["n_samples"]),
+        n_samples=n_samples,
         tol=tol,
-        shrink_floor=float(params.get("shrink_floor", 0.0)),
+        shrink_floor=shrink_floor,
     )
     report = {"kind": "verify_extremal", "seed": seed, "tol": tol, **rep_report.as_dict()}
     del report["cost_samples"]
@@ -230,10 +266,10 @@ def _run_verify_extremal(params: dict, base_dir: Path):
 
 
 def _run_wss_envelope(params: dict, base_dir: Path):
-    tol = float(params.get("tol", 1e-9))
+    tol = _float(params, "tol", 1e-9)
     seq_a = _load_sequence(params["seq_a"], "seq_a")
     seq_b = _load_sequence(params["seq_b"], "seq_b")
-    n_freq = int(params["n_freq"])
+    n_freq = _int(params, "n_freq")
     sa = st.spectral_density(seq_a, n_freq)
     sb = st.spectral_density(seq_b, n_freq)
     ok, (worst_freq, worst_margin) = st.wss_envelope_test(sa, sb, tol=tol)
@@ -254,12 +290,12 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
-    n = int(params["n_freq"])
-    seed = int(params["seed"])
-    rank_tol = float(params.get("rank_tol", cm.DEFAULT_RANK_RTOL))
+    n = _int(params, "n_freq")
+    seed = _int(params, "seed", minimum=0)
+    rank_tol = _float(params, "rank_tol", cm.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(
-        np.asarray(params["target_kernel"], dtype=float),
-        np.asarray(params["observation_kernel"], dtype=float),
+        _load_array(params["target_kernel"], "target_kernel", 1),
+        _load_array(params["observation_kernel"], "observation_kernel", 1),
         n,
     )
     oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
@@ -283,20 +319,21 @@ def _run_wss_filter(params: dict, base_dir: Path):
 
 def _run_elliptic_demo(params: dict, base_dir: Path):
     cfg = rp.EllipticConfig(
-        n_x=int(params["n_x"]),
-        potential=float(params.get("potential", 0.0)),
+        n_x=_int(params, "n_x"),
+        potential=_float(params, "potential", 0.0),
         bump_width=(
-            None if params.get("bump_width") is None else float(params["bump_width"])
+            None if params.get("bump_width") is None else _float(params, "bump_width")
         ),
-        bump_centers=tuple(float(c) for c in params["bump_centers"]),
-        alphas=tuple(float(a) for a in params["alphas"]),
-        basis_dim=int(params["basis_dim"]),
-        ell=None if params.get("ell") is None else tuple(params["ell"]),
+        bump_centers=_floats(params, "bump_centers"),
+        alphas=_floats(params, "alphas"),
+        basis_dim=_int(params, "basis_dim"),
+        ell=None if params.get("ell") is None else _floats(params, "ell"),
     )
+    seed = _int(params, "seed", minimum=0)
+    m = _int(params, "n_atoms", minimum=1)
+    tol = _float(params, "tol", 1e-9)
     rep, meta = rp.build_elliptic_representation(cfg)
-    seed = int(params["seed"])
     rng = np.random.default_rng(seed)
-    m = int(params["n_atoms"])
     source = me.SourceEnsemble(
         space=me.MeasureSpace(weights=rng.uniform(0.5, 1.5, size=m)),
         values=rng.standard_normal((m, cfg.d, cfg.basis_dim)),
@@ -305,7 +342,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
     pushed_src = cov.push_forward(rep.target_map, me.second_moment(source))
     pushed_cand = cov.push_forward(rep.target_map, me.second_moment(candidate))
     transfer_ok, transfer_margin = cov.loewner_dominates(
-        pushed_src, pushed_cand, tol=float(params.get("tol", 1e-9))
+        pushed_src, pushed_cand, tol=tol
     )
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)

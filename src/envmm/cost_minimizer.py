@@ -124,6 +124,17 @@ def cost(obs: ObservedEnsemble, est: HSOperator) -> float:
     return float(np.einsum("j,jk,jk->", obs.space.weights, resid, resid))
 
 
+def residual_map(
+    spec: BaselineSpec, rep: RepresentationOperator, est: HSOperator
+) -> NDArray:
+    """W = target_map - T input_map, once est and spec fit the operator."""
+    if (est.p_out, est.q) != (rep.p_out, rep.q):
+        raise ShapeMismatch("estimator does not match the representation")
+    if spec.dim != rep.d * rep.p:
+        raise ShapeMismatch("baseline spec dimension does not match the operator")
+    return rep.target_map - est.coeffs @ rep.input_map
+
+
 def cost_decomposed(
     a: SourceEnsemble,
     spec: BaselineSpec,
@@ -138,11 +149,7 @@ def cost_decomposed(
     uncorrelated with the source, so the total never depends on which
     realization was drawn.
     """
-    if (est.p_out, est.q) != (rep.p_out, rep.q):
-        raise ShapeMismatch("estimator does not match the representation")
-    if spec.dim != rep.d * rep.p:
-        raise ShapeMismatch("baseline spec dimension does not match the operator")
-    w = rep.target_map - est.coeffs @ rep.input_map
+    w = residual_map(spec, rep, est)
     sig_a = second_moment(a).matrix
     source_part = float(np.einsum("ik,kl,il->", w, sig_a, w))
     baseline_part = float(np.einsum("ik,kl,il->", w, spec.sigma_xi, w))
@@ -191,14 +198,15 @@ def solve_pseudoinverse(
     as zero. When the cross matrix has a component outside the retained
     range the quadratic has no minimizer and the out-of-range magnitude
     is returned as a NoMinimizer outcome instead of an exception. The
-    consistency threshold is 1e-8 * (1 + ||cross||_F).
+    consistency threshold is 1e-8 * ||cross||_F, relative to the data, so
+    rescaling gram and cross together never changes the verdict.
     """
     evals, evecs = _eig(sys)
     lam_max = max(float(evals[-1]), 0.0)
     kept = evals > rank_tol * max(lam_max, np.finfo(float).tiny)
     cross_modes = sys.cross @ evecs
     violation = float(np.linalg.norm(cross_modes[:, ~kept], ord="fro"))
-    consistency_tol = 1e-8 * (1.0 + float(np.linalg.norm(sys.cross, ord="fro")))
+    consistency_tol = 1e-8 * float(np.linalg.norm(sys.cross, ord="fro"))
     if violation > consistency_tol:
         return NoMinimizer(range_violation=violation)
     scaled = np.zeros_like(cross_modes)

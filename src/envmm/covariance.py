@@ -19,6 +19,26 @@ SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
 
 
+def check_symmetric_psd(mat: NDArray) -> None:
+    """Symmetry and PSD rule for covariance matrices, on one matrix or a stack.
+
+    Each matrix must be symmetric to SYM_RTOL relative to max(1, max|entry|)
+    and have no eigenvalue below -PSD_TOL * max(1, lambda_max). A stack
+    (..., n, n) is checked with one batched eigensolve.
+    """
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    asym = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
+    if np.any(asym > SYM_RTOL * scale):
+        raise ValueError("covariance matrix must be symmetric")
+    evals = np.linalg.eigvalsh(mat)
+    bottom = evals[..., 0]
+    below = bottom < -PSD_TOL * np.maximum(1.0, evals[..., -1])
+    if np.any(below):
+        raise ValueError(
+            f"covariance has eigenvalue {bottom[below].min():.3e} below the PSD tolerance"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCovariance:
     """Symmetric PSD matrix with its block layout (d components, p coeffs)."""
@@ -36,15 +56,7 @@ class BlockCovariance:
             raise ShapeMismatch(
                 f"matrix of size {mat.shape[0]} does not factor as d*p = {self.d}*{self.p}"
             )
-        scale = max(1.0, float(np.abs(mat).max()))
-        if float(np.abs(mat - mat.T).max()) > SYM_RTOL * scale:
-            raise ValueError("covariance matrix must be symmetric")
-        evals = np.linalg.eigvalsh(mat)
-        lam_max = max(float(evals[-1]), 0.0)
-        if float(evals[0]) < -PSD_TOL * max(1.0, lam_max):
-            raise ValueError(
-                f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
-            )
+        check_symmetric_psd(mat)
         object.__setattr__(self, "matrix", mat)
 
     @property

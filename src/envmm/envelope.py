@@ -10,15 +10,18 @@ the extremal property numerically.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .cost_minimizer import HSOperator, cost_difference_bound, cost_decomposed
-from .covariance import loewner_dominates
+from .cost_minimizer import (
+    HSOperator,
+    cost_decomposed,
+    cost_difference_bound,
+    residual_map,
+)
+from .covariance import check_symmetric_psd, loewner_dominates
 from .errors import DegenerateSpec, ShapeMismatch
 from .measure_ensemble import (
     BaselineEnsemble,
@@ -71,22 +74,6 @@ class ClosureReport:
     max_gap: float
 
 
-def _thread_cap() -> int | None:
-    """Worker cap from ENVMM_THREADS; 0 or unset means automatic.
-
-    Automatic resolves to sequential evaluation because the per-sample
-    work is BLAS-bound and already parallel inside numpy.
-    """
-    raw = os.environ.get("ENVMM_THREADS", "0").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 0:
-        cap = 0
-    return None if cap in (0, 1) else cap
-
-
 def is_member(
     candidate: SourceEnsemble, reference: SourceEnsemble, tol: float = 1e-9
 ) -> tuple[bool, float]:
@@ -99,6 +86,28 @@ def is_member(
     if (candidate.d, candidate.p) != (reference.d, reference.p):
         raise ShapeMismatch("block shapes differ")
     return loewner_dominates(second_moment(reference), second_moment(candidate), tol=tol)
+
+
+def _contractions(
+    sigma: NDArray, seed: int, n_samples: int, shrink_floor: float
+) -> NDArray:
+    """Stack (n_samples, dim, dim) of contractions K_s = U D_s U^T.
+
+    sigma = U L U^T is the reference second moment and each diagonal D_s
+    is uniform in [shrink_floor, 1], one generator call per sample in
+    sample order, so a seed picks the same samples for every caller.
+    """
+    if not 0.0 <= shrink_floor <= 1.0:
+        raise ValueError("shrink_floor must lie in [0, 1]")
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
+    rng = np.random.default_rng(seed)
+    _, evecs = np.linalg.eigh(sigma)
+    dim = sigma.shape[0]
+    diags = np.array(
+        [rng.uniform(shrink_floor, 1.0, size=dim) for _ in range(n_samples)]
+    ).reshape(n_samples, dim)
+    return (evecs[None, :, :] * diags[:, None, :]) @ evecs.T
 
 
 def sample_dominated(
@@ -114,24 +123,15 @@ def sample_dominated(
     every atom, giving the exact second moment U D^2 L U^T <= U L U^T.
     Drawing D = I would reproduce the reference ensemble itself.
     """
-    if not 0.0 <= shrink_floor <= 1.0:
-        raise ValueError("shrink_floor must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    _, evecs = np.linalg.eigh(second_moment(reference).matrix)
+    contractions = _contractions(
+        second_moment(reference).matrix, seed, n_samples, shrink_floor
+    )
     flat = reference.flat_values
-    m, dim = flat.shape
-    out = []
-    for _ in range(n_samples):
-        diag = rng.uniform(shrink_floor, 1.0, size=dim)
-        contraction = (evecs * diag[None, :]) @ evecs.T
-        shrunk = flat @ contraction.T
-        out.append(
-            SourceEnsemble(
-                space=reference.space,
-                values=shrunk.reshape(m, reference.d, reference.p),
-            )
-        )
-    return out
+    shape = reference.values.shape
+    return [
+        SourceEnsemble(space=reference.space, values=(flat @ k.T).reshape(shape))
+        for k in contractions
+    ]
 
 
 def _ones_fixing_orthogonal(n: int, rng: np.random.Generator) -> NDArray:
@@ -220,49 +220,41 @@ def verify_extremal(
     """Check that no dominated sample beats the reference cost.
 
     Sample 0 is the reference ensemble itself (the identity contraction),
-    which must attain the supremum exactly; the rest are random
-    contractions. Costs use the covariance split, so the baseline enters
-    only through its spec. When several estimators are given the report
-    carries the worst one: membership requires every estimator's
-    violation to stay within tol * (1 + its reference cost).
+    which must attain the supremum exactly; the rest are the samples of
+    sample_dominated for the same seed. The cost depends on a sample only
+    through its second moment, which is exactly K Sigma_A K^T for its
+    contraction K, so the samples are never realized atom by atom. With
+    W = target_map - T input_map, estimator T scores sample s as
+    <S_s, W^T W>_F + <sigma_xi, W^T W>_F, all pairs in one product. When
+    several estimators are given the report carries the worst one:
+    membership requires every estimator's violation to stay within
+    tol * (1 + its reference cost).
     """
     if not estimators:
         raise ValueError("at least one estimator is required")
-    samples = [a] + sample_dominated(a, seed, n_samples, shrink_floor)
-    sig_ref = second_moment(a)
-    margins = [
-        loewner_dominates(sig_ref, second_moment(s), tol=tol)[1] for s in samples[1:]
-    ]
-    lambda_min_margin = float(min(margins)) if margins else 0.0
+    if a.d * a.p != rep.d * rep.p:
+        raise ShapeMismatch("ensemble dimension does not match the operator")
+    sigma = second_moment(a).matrix
+    k = _contractions(sigma, seed, n_samples, shrink_floor)
+    shrunk = k @ sigma @ np.swapaxes(k, 1, 2)
+    shrunk = 0.5 * (shrunk + np.swapaxes(shrunk, 1, 2))
+    check_symmetric_psd(shrunk)
+    margins = np.linalg.eigvalsh(sigma - shrunk)[:, 0]
+    lambda_min_margin = float(margins.min()) if n_samples else 0.0
 
-    def eval_estimator(est: HSOperator) -> tuple[float, list[float]]:
-        ref = cost_decomposed(a, spec, rep, est).total
-        cap = _thread_cap()
-        if cap is None:
-            costs = [cost_decomposed(s, spec, rep, est).total for s in samples]
-        else:
-            with ThreadPoolExecutor(max_workers=cap) as pool:
-                costs = list(
-                    pool.map(lambda s: cost_decomposed(s, spec, rep, est).total, samples)
-                )
-        return ref, costs
-
-    member = True
-    worst = None
-    for est in estimators:
-        ref, costs = eval_estimator(est)
-        violation = max(c - ref for c in costs)
-        if violation > tol * (1.0 + ref):
-            member = False
-        if worst is None or violation > worst[0]:
-            worst = (violation, ref, costs)
-    violation, ref, costs = worst
+    moments = np.concatenate([sigma[None], shrunk]).reshape(n_samples + 1, -1)
+    w = np.stack([residual_map(spec, rep, est) for est in estimators])
+    wtw = np.einsum("eik,eil->ekl", w, w).reshape(len(estimators), -1)
+    costs = wtw @ moments.T + (wtw @ spec.sigma_xi.reshape(-1))[:, None]
+    refs = costs[:, 0]
+    violations = (costs - refs[:, None]).max(axis=1)
+    worst = int(np.argmax(violations))
     return EnvelopeReport(
-        member=member,
+        member=not bool(np.any(violations > tol * (1.0 + refs))),
         lambda_min_margin=lambda_min_margin,
-        cost_reference=float(ref),
-        cost_samples=[(i, float(c)) for i, c in enumerate(costs)],
-        max_violation=float(violation),
+        cost_reference=float(refs[worst]),
+        cost_samples=[(i, float(c)) for i, c in enumerate(costs[worst])],
+        max_violation=float(violations[worst]),
     )
 
 

@@ -137,3 +137,34 @@ def test_summary_lines_are_stable(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "minimize" in first
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("verify_extremal", "n_samples", None),
+        ("verify_extremal", "n_samples", -3),
+        ("verify_extremal", "seed", [1]),
+        ("verify_extremal", "seed", -1),
+        ("verify_extremal", "n_operators", None),
+        ("verify_extremal", "n_operators", 0),
+        ("verify_extremal", "n_operators", 2.5),
+        ("verify_extremal", "shrink_floor", None),
+        ("verify_extremal", "tol", "tight"),
+        ("elliptic_demo", "bump_centers", 0.5),
+        ("elliptic_demo", "alphas", [None]),
+        ("elliptic_demo", "seed", None),
+        ("elliptic_demo", "n_atoms", 0),
+        ("elliptic_demo", "ell", 3),
+        ("wss_filter", "target_kernel", [[1.0]]),
+    ],
+)
+def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    config[field] = value
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.run(cfg, out_dir=out) == 1
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -124,6 +124,32 @@ def test_pseudoinverse_detects_out_of_range():
     assert out.range_violation == pytest.approx(3.0)
 
 
+@settings(deadline=None, max_examples=60)
+@given(exponent=st.integers(-8, 8), seed=st.integers(0, 2**31))
+def test_pseudoinverse_verdict_is_scale_invariant(exponent, seed):
+    scale = 10.0**exponent
+    # gram annihilates e2 and cross leaves its range: never a minimizer
+    sys = _system(
+        np.diag([1.0, 0.0]) * scale**2, np.array([[1.0, 1.0]]) * scale**2, energy=0.0
+    )
+    out = E.solve_pseudoinverse(sys)
+    assert isinstance(out, E.NoMinimizer)
+    assert out.range_violation == pytest.approx(scale**2)
+    # a random rank-deficient system keeps its verdict under rescaling
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((2, 4))
+    gram = root.T @ root
+    inside = rng.standard_normal((3, 2)) @ root
+    outside = inside + rng.standard_normal((3, 4))
+    for cross, typed in ((inside, E.HSOperator), (outside, E.NoMinimizer)):
+        unit = E.solve_pseudoinverse(_system(gram, cross, energy=0.0))
+        scaled = E.solve_pseudoinverse(
+            _system(gram * scale, cross * scale, energy=0.0)
+        )
+        assert isinstance(unit, typed)
+        assert isinstance(scaled, typed)
+
+
 def test_pseudoinverse_zero_system():
     sys = _system(np.zeros((2, 2)), np.zeros((1, 2)), energy=0.0)
     est = E.solve_pseudoinverse(sys)

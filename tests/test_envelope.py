@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envmm as E
 from helpers import (
@@ -136,18 +138,74 @@ def test_verify_extremal_zero_estimator():
     assert report.max_violation <= 0.0 + 1e-12 * (1 + report.cost_reference)
 
 
-def test_verify_extremal_thread_cap_matches_sequential(monkeypatch):
-    rng = np.random.default_rng(12)
-    a = random_ensemble(rng, m=4, d=2, p=2)
-    spec = random_baseline_spec(rng, 4, scale=0.2)
-    rep = random_representation(rng, 2, 2)
-    ests = [random_estimator(rng, rep) for _ in range(4)]
+def _per_sample_report(a, spec, rep, ests, seed, n_samples, tol, floor):
+    """verify_extremal by its definition: realized samples, one cost each."""
+    samples = [a] + E.sample_dominated(a, seed, n_samples, floor)
+    margins = [E.is_member(s, a, tol=tol)[1] for s in samples[1:]]
+    worst = None
+    for est in ests:
+        costs = [E.cost_decomposed(s, spec, rep, est).total for s in samples]
+        violation = max(c - costs[0] for c in costs)
+        if worst is None or violation > worst[0]:
+            worst = (violation, costs)
+    return min(margins, default=0.0), worst[1]
 
-    monkeypatch.delenv("ENVMM_THREADS", raising=False)
-    seq = E.verify_extremal(a, spec, rep, ests, seed=3, n_samples=6)
-    monkeypatch.setenv("ENVMM_THREADS", "3")
-    par = E.verify_extremal(a, spec, rep, ests, seed=3, n_samples=6)
-    assert seq.as_dict() == par.as_dict()
+
+@pytest.mark.parametrize(
+    "m, d, p, n_ests, n_samples",
+    [
+        (6, 2, 3, 4, 12),
+        (1, 2, 3, 3, 8),  # m=1: rank-one reference moment
+        (5, 1, 1, 3, 8),  # p=1, d=1: scalar moments
+        (4, 3, 1, 2, 6),  # p=1 with several components
+        (7, 2, 2, 1, 10),  # a single estimator
+        (5, 2, 3, 3, 0),  # n_samples=0: only the reference itself
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_extremal_matches_per_sample_definition(m, d, p, n_ests, n_samples, seed):
+    rng = np.random.default_rng([m, d, p, n_ests, n_samples, seed])
+    a = random_ensemble(rng, m=m, d=d, p=p)
+    spec = random_baseline_spec(rng, d * p, scale=0.4)
+    rep = random_representation(rng, d, p)
+    ests = [random_estimator(rng, rep) for _ in range(n_ests)]
+    floor = float(rng.uniform(0.0, 0.5))
+    report = E.verify_extremal(
+        a, spec, rep, ests, seed=seed, n_samples=n_samples, shrink_floor=floor
+    )
+    margin, costs = _per_sample_report(a, spec, rep, ests, seed, n_samples, 1e-9, floor)
+    assert [i for i, _ in report.cost_samples] == list(range(n_samples + 1))
+    for (_, got), want in zip(report.cost_samples, costs):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+    assert report.cost_reference == report.cost_samples[0][1]
+    scale = float(np.abs(E.second_moment(a).matrix).max())
+    assert abs(report.lambda_min_margin - margin) <= 1e-12 * (1.0 + scale)
+    assert report.member
+
+
+def _split_first_atom(a):
+    weights = np.concatenate([[0.5, 0.5] * a.space.weights[:1], a.space.weights[1:]])
+    values = np.concatenate([a.values[:1], a.values])
+    return E.SourceEnsemble(space=E.MeasureSpace(weights=weights), values=values)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31))
+def test_verify_extremal_depends_on_atoms_only_through_moments(seed):
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(rng)
+    spec = random_baseline_spec(rng, a.d * a.p, scale=0.4)
+    rep = random_representation(rng, a.d, a.p)
+    ests = [random_estimator(rng, rep) for _ in range(3)]
+    base = E.verify_extremal(a, spec, rep, ests, seed=5, n_samples=6)
+    order = rng.permutation(a.space.m)
+    permuted = E.SourceEnsemble(
+        space=E.MeasureSpace(weights=a.space.weights[order]), values=a.values[order]
+    )
+    for variant in (permuted, _split_first_atom(a)):
+        other = E.verify_extremal(variant, spec, rep, ests, seed=5, n_samples=6)
+        assert other.member == base.member
+        assert other.cost_reference == pytest.approx(base.cost_reference, rel=1e-12)
 
 
 def test_closure_regression_linear_path():
