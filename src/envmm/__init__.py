@@ -2,8 +2,6 @@
 
 from .covariance import (
     BlockCovariance,
-    blockcov_from_csv,
-    blockcov_to_csv,
     compress,
     dense_subset_check,
     loewner_dominates,
@@ -23,8 +21,6 @@ from .cost_minimizer import (
     cost_decomposed,
     cost_difference_bound,
     gram_spectrum,
-    hsop_from_csv,
-    hsop_to_csv,
     residual_norm,
     solution_set,
     solve_coercive,
@@ -76,7 +72,6 @@ from .representation import (
     green_functional,
     observed_second_moments,
     project_coefficients,
-    representation_norms,
     truncate,
     truncation_residual,
 )
@@ -86,16 +81,11 @@ from .stationary import (
     OracleReport,
     SpectralDensity,
     WienerSymbol,
-    add_baseline_spectrum,
     circulant_matrix,
     circulant_oracle,
     lti_blocks,
-    sequence_from_csv,
-    sequence_to_csv,
     spectral_density,
     spectral_margins,
-    spectrum_from_csv,
-    spectrum_to_csv,
     wiener_symbol,
     wss_envelope_test,
 )

@@ -55,6 +55,10 @@ _REQUIRED = {
     "elliptic_demo": ("n_x", "bump_centers", "alphas", "basis_dim", "seed", "n_atoms"),
 }
 
+# Largest array, in float64 elements (1 GiB), that a count field may size;
+# checked before the array is built, so an oversized count exits 1.
+ELEMENT_BUDGET = 2**27
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,6 +102,14 @@ def _int(params: dict, field: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise BadConfig(f"field '{field}' must be at least {minimum}; got {value}")
     return value
+
+
+def _check_budget(field: str, elements: int) -> None:
+    if elements > ELEMENT_BUDGET:
+        raise BadConfig(
+            f"field '{field}' is too large: the run would allocate an array of "
+            f"more than {ELEMENT_BUDGET} elements"
+        )
 
 
 def _float(params: dict, field: str, default=None) -> float:
@@ -192,12 +204,15 @@ def _run_minimize(params: dict, base_dir: Path):
     rep = _representation(params, source.d, source.p)
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)
-    rank_tol = _float(params, "rank_tol", cm.DEFAULT_RANK_RTOL)
+    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     report = {
         "kind": "minimize",
         "coercivity_margin": cm.coercivity_margin(system),
         "target_energy": system.target_energy,
     }
+    series = [["eig_index", "gram_eigenvalue"]] + [
+        [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
+    ]
     if "c_min" in params:
         est = cm.solve_coercive(system, _float(params, "c_min"))
         kernel_dim, unique = 0, True
@@ -205,14 +220,8 @@ def _run_minimize(params: dict, base_dir: Path):
         outcome = cm.solution_set(system, rank_tol=rank_tol)
         if isinstance(outcome, cm.NoMinimizer):
             report.update(
-                {
-                    "no_minimizer": True,
-                    "range_violation": outcome.range_violation,
-                }
+                {"no_minimizer": True, "range_violation": outcome.range_violation}
             )
-            series = [["eig_index", "gram_eigenvalue"]] + [
-                [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
-            ]
             return report, series, 2
         est = outcome.t0
         kernel_dim = outcome.kernel_basis.shape[0]
@@ -227,20 +236,19 @@ def _run_minimize(params: dict, base_dir: Path):
             "cost": cm.system_cost(system, est),
         }
     )
-    series = [["eig_index", "gram_eigenvalue"]] + [
-        [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
-    ]
     return report, series, 0
 
 
 def _run_verify_extremal(params: dict, base_dir: Path):
     source = _load_ensemble(params["source"], base_dir, "source")
     rep = _representation(params, source.d, source.p)
+    n_operators = _int(params, "n_operators", minimum=1)
+    n_samples = _int(params, "n_samples", minimum=0)
+    _check_budget("n_samples", (n_samples + 1) * (source.d * source.p) ** 2)
+    _check_budget("n_operators", n_operators * rep.p_out * rep.q)
     spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
     seed = _int(params, "seed", minimum=0)
     tol = _float(params, "tol", 1e-9)
-    n_operators = _int(params, "n_operators", minimum=1)
-    n_samples = _int(params, "n_samples", minimum=0)
     shrink_floor = _float(params, "shrink_floor", 0.0)
     rng = np.random.default_rng(seed)
     estimators = [
@@ -270,6 +278,7 @@ def _run_wss_envelope(params: dict, base_dir: Path):
     seq_a = _load_sequence(params["seq_a"], "seq_a")
     seq_b = _load_sequence(params["seq_b"], "seq_b")
     n_freq = _int(params, "n_freq")
+    _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
     sa = st.spectral_density(seq_a, n_freq)
     sb = st.spectral_density(seq_b, n_freq)
     ok, (worst_freq, worst_margin) = st.wss_envelope_test(sa, sb, tol=tol)
@@ -291,8 +300,9 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
     n = _int(params, "n_freq")
+    _check_budget("n_freq", n * n)
     seed = _int(params, "seed", minimum=0)
-    rank_tol = _float(params, "rank_tol", cm.DEFAULT_RANK_RTOL)
+    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(
         _load_array(params["target_kernel"], "target_kernel", 1),
         _load_array(params["observation_kernel"], "observation_kernel", 1),
@@ -329,8 +339,11 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
         basis_dim=_int(params, "basis_dim"),
         ell=None if params.get("ell") is None else _floats(params, "ell"),
     )
+    _check_budget("n_x", cfg.n_x)
+    _check_budget("basis_dim", cfg.d * cfg.basis_dim**2)
     seed = _int(params, "seed", minimum=0)
     m = _int(params, "n_atoms", minimum=1)
+    _check_budget("n_atoms", m * cfg.d * cfg.basis_dim)
     tol = _float(params, "tol", 1e-9)
     rep, meta = rp.build_elliptic_representation(cfg)
     rng = np.random.default_rng(seed)

@@ -4,23 +4,23 @@ The estimator is a finite matrix acting on observed input coefficients.
 Its mean-square error over an ensemble expands into a quadratic in the
 matrix entries whose Gram part is block diagonal with one shared q x q
 block, so a single symmetric eigendecomposition of that block serves the
-solve, the kernel, and the coercivity margin at once.
+solve, the kernel, and the coercivity margin at once: the read-only
+system caches it (NormalEquationSystem.eigh), so it is computed once.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .covariance import DEFAULT_RANK_RTOL, retained
 from .errors import NotCoercive, ShapeMismatch
 from .measure_ensemble import BaselineEnsemble, BaselineSpec, SourceEnsemble, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
-
-DEFAULT_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +82,14 @@ class NormalEquationSystem:
     @property
     def p_out(self) -> int:
         return self.cross.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[NDArray, NDArray]:
+        """Ascending eigenvalues and eigenvectors of gram, computed once."""
+        evals, evecs = np.linalg.eigh(self.gram)
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        return evals, evecs
 
 
 @dataclass(frozen=True)
@@ -167,10 +175,6 @@ def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
     )
 
 
-def _eig(sys: NormalEquationSystem) -> tuple[NDArray, NDArray]:
-    return np.linalg.eigh(sys.gram)
-
-
 def solve_coercive(sys: NormalEquationSystem, c_min: float) -> HSOperator:
     """Unique minimizer under a uniform spectral lower bound.
 
@@ -180,7 +184,7 @@ def solve_coercive(sys: NormalEquationSystem, c_min: float) -> HSOperator:
     """
     if c_min <= 0:
         raise ValueError("c_min must be positive")
-    evals, evecs = _eig(sys)
+    evals, evecs = sys.eigh
     if float(evals[0]) < c_min:
         raise NotCoercive(
             f"gram matrix bottom eigenvalue {evals[0]:.6e} is below c_min={c_min:.6e}"
@@ -201,9 +205,8 @@ def solve_pseudoinverse(
     consistency threshold is 1e-8 * ||cross||_F, relative to the data, so
     rescaling gram and cross together never changes the verdict.
     """
-    evals, evecs = _eig(sys)
-    lam_max = max(float(evals[-1]), 0.0)
-    kept = evals > rank_tol * max(lam_max, np.finfo(float).tiny)
+    evals, evecs = sys.eigh
+    kept = retained(evals, rank_tol)
     cross_modes = sys.cross @ evecs
     violation = float(np.linalg.norm(cross_modes[:, ~kept], ord="fro"))
     consistency_tol = 1e-8 * float(np.linalg.norm(sys.cross, ord="fro"))
@@ -221,10 +224,8 @@ def solution_set(
     anchor = solve_pseudoinverse(sys, rank_tol=rank_tol)
     if isinstance(anchor, NoMinimizer):
         return anchor
-    evals, evecs = _eig(sys)
-    lam_max = max(float(evals[-1]), 0.0)
-    kept = evals > rank_tol * max(lam_max, np.finfo(float).tiny)
-    kernel = evecs[:, ~kept].T
+    evals, evecs = sys.eigh
+    kernel = evecs[:, ~retained(evals, rank_tol)].T
     return SolutionSet(t0=anchor, kernel_basis=kernel, unique=kernel.shape[0] == 0)
 
 
@@ -235,12 +236,12 @@ def residual_norm(sys: NormalEquationSystem, est: HSOperator) -> float:
 
 def coercivity_margin(sys: NormalEquationSystem) -> float:
     """Bottom eigenvalue of the Gram block."""
-    return float(np.linalg.eigvalsh(sys.gram)[0])
+    return float(sys.eigh[0][0])
 
 
 def gram_spectrum(sys: NormalEquationSystem) -> NDArray:
-    """Ascending eigenvalues of the Gram block."""
-    return np.linalg.eigvalsh(sys.gram)
+    """Ascending eigenvalues of the Gram block (read-only)."""
+    return sys.eigh[0]
 
 
 def system_cost(sys: NormalEquationSystem, est: HSOperator) -> float:
@@ -278,27 +279,3 @@ def cost_difference_bound(
         * dist
         * scale
     )
-
-
-HSOP_HEADER_PREFIX = "# hsop"
-
-
-def hsop_to_csv(est: HSOperator, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{HSOP_HEADER_PREFIX} p_out={est.p_out} q={est.q}\n")
-        writer = csv.writer(fh)
-        for row in est.coeffs:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def hsop_from_csv(path) -> HSOperator:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(HSOP_HEADER_PREFIX):
-            raise ValueError(f"missing '{HSOP_HEADER_PREFIX}' header")
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return HSOperator(coeffs=np.array(rows))

@@ -4,6 +4,9 @@ A block covariance is a symmetric PSD matrix on the flattened coefficient
 space of a d-component, p-coefficient source (dimension d * p, component-
 major). Comparisons in the semidefinite order are quantitative: every
 check returns the extreme eigenvalue it was decided on.
+
+The package's one numerical policy lives here too: the tolerances, the
+symmetric PSD check, and the rank rule `retained`.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadTruncation, ShapeMismatch
+from .errors import BadTruncation, DegenerateSpec, ShapeMismatch
 
 SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
+DEFAULT_RANK_RTOL = 1e-12
 
 
 def check_symmetric_psd(mat: NDArray) -> None:
@@ -24,19 +28,27 @@ def check_symmetric_psd(mat: NDArray) -> None:
 
     Each matrix must be symmetric to SYM_RTOL relative to max(1, max|entry|)
     and have no eigenvalue below -PSD_TOL * max(1, lambda_max). A stack
-    (..., n, n) is checked with one batched eigensolve.
+    (..., n, n) is checked with one batched eigensolve. Violations raise
+    DegenerateSpec.
     """
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
     asym = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
     if np.any(asym > SYM_RTOL * scale):
-        raise ValueError("covariance matrix must be symmetric")
+        raise DegenerateSpec("covariance matrix must be symmetric")
     evals = np.linalg.eigvalsh(mat)
     bottom = evals[..., 0]
     below = bottom < -PSD_TOL * np.maximum(1.0, evals[..., -1])
     if np.any(below):
-        raise ValueError(
+        raise DegenerateSpec(
             f"covariance has eigenvalue {bottom[below].min():.3e} below the PSD tolerance"
         )
+
+
+def retained(evals: NDArray, rank_tol: float = DEFAULT_RANK_RTOL) -> NDArray:
+    """Mask of eigenvalues above rank_tol times the largest (floored at the
+    smallest normal float); relative, so rescaling never changes it."""
+    top = max(float(evals.max()), 0.0)
+    return evals > rank_tol * max(top, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +82,15 @@ def loewner_dominates(
     """Decide big >= small in the semidefinite order.
 
     Returns (verdict, lambda_min(big - small)). The verdict allows the
-    minimal eigenvalue to dip to -tol, which absorbs round-off from the
-    symmetric eigensolve.
+    minimal eigenvalue to dip to -tol * max|big|, which absorbs round-off
+    from the symmetric eigensolve; the slack is relative to big, so
+    rescaling both operands never changes the verdict.
     """
     if big.dim != small.dim:
         raise ShapeMismatch(f"dimension mismatch: {big.dim} vs {small.dim}")
     diff = big.matrix - small.matrix
     lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return lam_min >= -tol, lam_min
+    return lam_min >= -tol * float(np.abs(big.matrix).max()), lam_min
 
 
 def order_spectrum(big: BlockCovariance, small: BlockCovariance) -> NDArray:
@@ -155,29 +168,3 @@ def dense_subset_check(
     ok = bool(np.all(gaps >= -tol * scale))
     rank = int(np.linalg.matrix_rank(probes))
     return ok, rank
-
-
-BLOCKCOV_HEADER_PREFIX = "# blockcov"
-
-
-def blockcov_to_csv(cov: BlockCovariance, path) -> None:
-    """Dense row-major CSV with a layout comment on the first line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{BLOCKCOV_HEADER_PREFIX} d={cov.d} p={cov.p}\n")
-        for row in cov.matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def blockcov_from_csv(path) -> BlockCovariance:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(BLOCKCOV_HEADER_PREFIX):
-            raise ValueError(f"missing '{BLOCKCOV_HEADER_PREFIX}' header")
-        fields = dict(part.split("=") for part in header.split()[2:])
-        d, p = int(fields["d"]), int(fields["p"])
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return BlockCovariance(matrix=np.array(rows), d=d, p=p)

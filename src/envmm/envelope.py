@@ -21,8 +21,8 @@ from .cost_minimizer import (
     cost_difference_bound,
     residual_map,
 )
-from .covariance import check_symmetric_psd, loewner_dominates
-from .errors import DegenerateSpec, ShapeMismatch
+from .covariance import check_symmetric_psd, loewner_dominates, retained
+from .errors import ShapeMismatch
 from .measure_ensemble import (
     BaselineEnsemble,
     BaselineSpec,
@@ -169,12 +169,7 @@ def fit_baseline(
     if spec.dim != a.d * a.p:
         raise ShapeMismatch("baseline spec dimension does not match the ensemble")
     evals, evecs = np.linalg.eigh(spec.sigma_xi)
-    lam_max = max(float(evals[-1]), 0.0)
-    if float(evals[0]) < -1e-10 * max(1.0, lam_max):
-        raise DegenerateSpec(
-            f"sigma_xi eigenvalue {evals[0]:.3e} below the PSD tolerance"
-        )
-    kept = evals > 1e-12 * max(lam_max, np.finfo(float).tiny)
+    kept = retained(evals)
     rank = int(kept.sum())
     m, d, p = a.space.m, a.d, a.p
     if rank == 0:

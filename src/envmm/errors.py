@@ -17,8 +17,8 @@ class BadTruncation(EnvmmError):
     """Truncation level outside the valid range for the object."""
 
 
-class DegenerateSpec(EnvmmError):
-    """A prescribed covariance is not positive semidefinite within tolerance."""
+class DegenerateSpec(EnvmmError, ValueError):
+    """A prescribed covariance is not symmetric PSD within tolerance."""
 
 
 class NotCoercive(EnvmmError):

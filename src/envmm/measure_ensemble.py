@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import BlockCovariance
-from .errors import DegenerateSpec, ShapeMismatch
-
-SYM_RTOL = 1e-12
-PSD_TOL = 1e-10
+from .covariance import BlockCovariance, check_symmetric_psd
+from .errors import ShapeMismatch
 
 
 def _freeze(arr: NDArray) -> NDArray:
@@ -104,8 +101,8 @@ class SourceEnsemble:
 class BaselineSpec:
     """Target second moment for a perturbation process.
 
-    sigma_xi must be symmetric and positive semidefinite within the
-    package-wide tolerances; violations raise at construction.
+    sigma_xi must pass BlockCovariance's rule, check_symmetric_psd;
+    violations raise DegenerateSpec at construction.
     """
 
     sigma_xi: NDArray
@@ -114,15 +111,7 @@ class BaselineSpec:
         s = _freeze(self.sigma_xi)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeMismatch("sigma_xi must be square")
-        scale = max(1.0, float(np.abs(s).max()))
-        if float(np.abs(s - s.T).max()) > SYM_RTOL * scale:
-            raise ValueError("sigma_xi must be symmetric")
-        evals = np.linalg.eigvalsh(s)
-        lam_max = max(float(evals[-1]), 0.0)
-        if float(evals[0]) < -PSD_TOL * max(1.0, lam_max):
-            raise DegenerateSpec(
-                f"sigma_xi has eigenvalue {evals[0]:.3e} below the PSD tolerance"
-            )
+        check_symmetric_psd(s)
         object.__setattr__(self, "sigma_xi", s)
 
     @property

@@ -377,13 +377,3 @@ def build_elliptic_representation(
         "potential": float(cfg.potential),
     }
     return rep, meta
-
-
-def representation_norms(rep: RepresentationOperator) -> dict:
-    """Individual and joint operator norms, for reports."""
-    return {
-        "target_norm": float(np.linalg.norm(rep.target_map, ord=2)),
-        "input_norm": float(np.linalg.norm(rep.input_map, ord=2)),
-        "joint_norm": rep.norm_bound,
-        "mixing_norm": rep.mixing_norm,
-    }

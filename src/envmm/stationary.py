@@ -22,11 +22,10 @@ from .cost_minimizer import (
     assemble_normal_equations,
     solve_pseudoinverse,
 )
+from .covariance import DEFAULT_RANK_RTOL, PSD_TOL, SYM_RTOL, retained
 from .errors import BadGrid, EmbeddingNotPSD, ShapeMismatch, WrongDimension
 from .measure_ensemble import MeasureSpace
 from .representation import ObservedEnsemble
-
-SYM_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +219,12 @@ def wss_envelope_test(
     """Frequency-wise covariance domination of sb by sa.
 
     Returns the verdict and the worst offender as (frequency, bottom
-    eigenvalue of the spectral gap there).
+    eigenvalue of the spectral gap there). The slack -tol * max|sa| is
+    relative, so rescaling both densities never changes the verdict.
     """
     margins = spectral_margins(sa, sb)
     worst = int(np.argmin(margins))
-    scale = 1.0 + float(np.abs(sa.values).max())
+    scale = float(np.abs(sa.values).max())
     ok = bool(margins[worst] >= -tol * scale)
     return ok, (float(sa.omegas[worst]), float(margins[worst]))
 
@@ -250,40 +250,29 @@ def lti_blocks(
 
 
 def wiener_symbol(
-    syx: NDArray, sxx: NDArray, rank_tol: float = 1e-12
+    syx: NDArray, sxx: NDArray, rank_tol: float = DEFAULT_RANK_RTOL
 ) -> WienerSymbol:
     """Frequency-wise ratio syx / sxx with the zero-fill convention.
 
-    sxx must be real and nonnegative within 1e-10 of its scale. A
-    frequency is flagged when sxx falls at or below rank_tol times the
-    largest sxx; the symbol is zero there, mirroring the minimal-norm
-    solve.
+    sxx must be real and nonnegative within PSD_TOL of its scale. A
+    frequency is flagged when covariance.retained drops its sxx, i.e. at
+    or below rank_tol times the largest sxx; the symbol is zero there,
+    mirroring the minimal-norm solve.
     """
     syx = np.asarray(syx, dtype=complex)
     sxx = np.asarray(sxx, dtype=complex)
     if syx.shape != sxx.shape or syx.ndim != 1:
         raise ShapeMismatch("blocks must be equal-length 1-d arrays")
     scale = max(1.0, float(np.abs(sxx).max()))
-    if float(np.abs(sxx.imag).max()) > 1e-10 * scale:
+    if float(np.abs(sxx.imag).max()) > PSD_TOL * scale:
         raise ValueError("sxx must be real within tolerance")
     real = sxx.real
-    if float(real.min()) < -1e-10 * scale:
+    if float(real.min()) < -PSD_TOL * scale:
         raise ValueError("sxx must be nonnegative within tolerance")
-    top = max(float(real.max()), 0.0)
-    flagged = real <= rank_tol * max(top, np.finfo(float).tiny)
+    flagged = ~retained(real, rank_tol)
     tau = np.zeros_like(syx)
     np.divide(syx, real, out=tau, where=~flagged)
     return WienerSymbol(tau=tau, flagged=flagged)
-
-
-def add_baseline_spectrum(
-    blocks: tuple[NDArray, NDArray, NDArray],
-    baseline_blocks: tuple[NDArray, NDArray, NDArray],
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Pointwise sum of observed blocks with a perturbation spectrum."""
-    if any(b.shape != bb.shape for b, bb in zip(blocks, baseline_blocks)):
-        raise ShapeMismatch("block grids differ")
-    return tuple(b + bb for b, bb in zip(blocks, baseline_blocks))
 
 
 def _wrapped_lags(seq: CovarianceSequence, n: int) -> NDArray:
@@ -323,30 +312,26 @@ def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
 
 
 def _fourier_atoms(
-    sd: SpectralDensity, rng: np.random.Generator
+    omegas: NDArray, evals: NDArray, evecs: NDArray, rng: np.random.Generator
 ) -> tuple[NDArray, NDArray]:
     """Weighted atoms realizing the periodic covariance exactly.
 
-    Per frequency r and retained eigendirection of the spectral block,
-    contribute the real and imaginary parts of sqrt(lam) u e^{i omega_r t}
-    (times a random phase) with weight 1/n each. Summing their outer
-    products telescopes to the inverse DFT of the blocks, i.e. the
-    periodic covariance, with no sampling error.
+    evals (n, d) and evecs (n, d, d) decompose the spectral blocks. Per
+    frequency r and positive eigenvalue lam with eigenvector u, contribute
+    the real and imaginary parts of sqrt(lam) u e^{i omega_r t} (times a
+    random phase, drawn in frequency-major order) with weight 1/n each.
+    Summing their outer products telescopes to the inverse DFT of the
+    PSD-clipped blocks, i.e. the periodic covariance, with no sampling error.
     """
-    n = sd.n_freq
-    time = np.arange(n)
-    series = []
-    for r in range(n):
-        vals, vecs = np.linalg.eigh(sd.values[r])
-        for idx in range(vals.size):
-            lam = float(vals[idx])
-            if lam <= 0.0:
-                continue
-            phase = np.exp(1j * (sd.omegas[r] * time + rng.uniform(0.0, 2.0 * np.pi)))
-            mode = np.sqrt(lam) * vecs[:, idx][:, None] * phase[None, :]
-            series.append(mode.real)
-            series.append(mode.imag)
-    atoms = np.array(series)  # (m, d, n)
+    n = omegas.size
+    freq, idx = np.nonzero(evals > 0.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=freq.size)
+    waves = np.exp(1j * (omegas[freq][:, None] * np.arange(n) + phases[:, None]))
+    vecs = evecs[freq, :, idx]  # (k, d)
+    modes = np.sqrt(evals[freq, idx])[:, None, None] * vecs[:, :, None] * waves[:, None, :]
+    atoms = np.empty((2 * freq.size,) + modes.shape[1:])
+    atoms[0::2] = modes.real
+    atoms[1::2] = modes.imag
     weights = np.full(atoms.shape[0], 1.0 / n)
     return atoms, weights
 
@@ -356,7 +341,7 @@ def circulant_oracle(
     model: LTIModel,
     n: int,
     seed: int,
-    rank_tol: float = 1e-12,
+    rank_tol: float = DEFAULT_RANK_RTOL,
 ) -> OracleReport:
     """Independent grid check of the frequency-wise estimator.
 
@@ -379,8 +364,8 @@ def circulant_oracle(
     _require_conjugate_symmetric(model.observation_response, "observation response")
 
     sd = spectral_density(seq, n)
-    block_mins = np.linalg.eigvalsh(sd.values)[:, 0]
-    emb_min = float(block_mins.min())
+    evals, evecs = np.linalg.eigh(sd.values)
+    emb_min = float(evals[:, 0].min())
     scale = max(1.0, float(np.abs(sd.values).max()))
     if emb_min < -1e-9 * scale:
         raise EmbeddingNotPSD(
@@ -389,10 +374,7 @@ def circulant_oracle(
         )
 
     rng = np.random.default_rng(seed)
-    clipped = SpectralDensity(
-        omegas=sd.omegas, values=_clip_psd(sd.values)
-    )
-    atoms, weights = _fourier_atoms(clipped, rng)
+    atoms, weights = _fourier_atoms(sd.omegas, evals, evecs, rng)
     space = MeasureSpace(weights=weights)
 
     spec_x1 = np.fft.fft(atoms[:, 0, :], axis=1)
@@ -430,81 +412,3 @@ def circulant_oracle(
         symbol_estimate=symbol_estimate,
         gaps=gaps,
     )
-
-
-def _clip_psd(values: NDArray) -> NDArray:
-    """Zero out slightly negative eigenvalues frequency by frequency."""
-    vals, vecs = np.linalg.eigh(values)
-    vals = np.clip(vals, 0.0, None)
-    rebuilt = np.einsum("rij,rj,rkj->rik", vecs, vals, np.conj(vecs))
-    return 0.5 * (rebuilt + np.conj(np.transpose(rebuilt, (0, 2, 1))))
-
-
-SEQUENCE_CSV_HEADER = ["lag", "i", "j", "value"]
-
-
-def sequence_to_csv(seq: CovarianceSequence, path) -> None:
-    """Nonnegative lags only; the negative half is implied by symmetry."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(SEQUENCE_CSV_HEADER)
-        for tau in range(seq.max_lag + 1):
-            block = seq.lag(tau)
-            for i in range(seq.d):
-                for j in range(seq.d):
-                    writer.writerow([tau, i, j, repr(float(block[i, j]))])
-
-
-def sequence_from_csv(path) -> CovarianceSequence:
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != SEQUENCE_CSV_HEADER:
-            raise ValueError(f"unexpected sequence CSV header: {header}")
-        for row in reader:
-            if row:
-                rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    if not rows:
-        raise ValueError("empty sequence CSV")
-    ell = max(r[0] for r in rows)
-    d = max(max(r[1] for r in rows), max(r[2] for r in rows)) + 1
-    nonneg = np.zeros((ell + 1, d, d))
-    for tau, i, j, v in rows:
-        nonneg[tau, i, j] = v
-    return CovarianceSequence.from_nonneg_lags(nonneg)
-
-
-SPECTRUM_CSV_HEADER = ["freq_index", "re", "im"]
-
-
-def spectrum_to_csv(values: NDArray, path) -> None:
-    """Scalar complex series over the grid (one row per frequency)."""
-    import csv as _csv
-
-    values = np.asarray(values, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(SPECTRUM_CSV_HEADER)
-        for r, v in enumerate(values):
-            writer.writerow([r, repr(float(v.real)), repr(float(v.imag))])
-
-
-def spectrum_from_csv(path) -> NDArray:
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != SPECTRUM_CSV_HEADER:
-            raise ValueError(f"unexpected spectrum CSV header: {header}")
-        for row in reader:
-            if row:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
-    rows.sort()
-    return np.array([re + 1j * im for _, re, im in rows])

@@ -110,3 +110,20 @@ def contracted_ensemble(
     """One dominated sample drawn through the public sampler."""
     seed = int(rng.integers(0, 2**32))
     return E.sample_dominated(ens, seed=seed, n_samples=1, shrink_floor=floor)[0]
+
+
+def count_eigensolves(monkeypatch) -> dict:
+    """Count numpy.linalg.eigh / eigvalsh calls made from now on.
+
+    A batched call on a stack of matrices counts once.
+    """
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import envmm.cli as cli
+from helpers import count_eigensolves
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -130,6 +132,13 @@ def test_main_happy_path(tmp_path):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+def test_minimize_factorizes_the_gram_block_once(tmp_path, monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    code, report, _ = _run("minimize", tmp_path)
+    assert code == 0 and "coercivity_margin" in report and report["unique"]
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+
+
 def test_summary_lines_are_stable(tmp_path, capsys):
     _run("minimize", tmp_path, name="a")
     first = capsys.readouterr().out
@@ -157,6 +166,16 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "n_atoms", 0),
         ("elliptic_demo", "ell", 3),
         ("wss_filter", "target_kernel", [[1.0]]),
+        # integral but oversized counts hit the element budget before any
+        # array they size is allocated
+        ("verify_extremal", "n_samples", 1e12),
+        ("verify_extremal", "n_samples", 1e308),
+        ("verify_extremal", "n_operators", 1e12),
+        ("elliptic_demo", "n_x", 1e308),
+        ("elliptic_demo", "n_atoms", 1e12),
+        ("elliptic_demo", "basis_dim", 1e12),
+        ("wss_envelope", "n_freq", 1e12),
+        ("wss_filter", "n_freq", 1e308),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
@@ -165,6 +184,13 @@ def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    assert cli.run(cfg, out_dir=out) == 1
+    tracemalloc.start()
+    try:
+        code = cli.run(cfg, out_dir=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    assert peak < 32 * 2**20

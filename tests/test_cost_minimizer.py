@@ -311,12 +311,3 @@ def test_difference_bound_holds_generically(seed):
     h1 = E.cost_decomposed(a1, spec, rep, est).source_part
     h2 = E.cost_decomposed(a2, spec, rep, est).source_part
     assert abs(h1 - h2) <= E.cost_difference_bound(a1, a2, rep, est)
-
-
-def test_hsop_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    est = E.HSOperator(coeffs=rng.standard_normal((3, 4)))
-    path = tmp_path / "est.csv"
-    E.hsop_to_csv(est, path)
-    back = E.hsop_from_csv(path)
-    np.testing.assert_array_equal(back.coeffs, est.coeffs)

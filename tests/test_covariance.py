@@ -40,6 +40,30 @@ def test_construction_rejects_asymmetric():
         _cov([[0.0, 1.0], [0.0, 0.0]], 1, 2)
 
 
+@pytest.mark.parametrize(
+    "matrix, accepted",
+    [
+        (np.diag([1.0, -0.5e-10]), True),
+        (np.diag([1.0, -2e-10]), False),
+        (1e6 * np.diag([1.0, -0.5e-10]), True),
+        (1e6 * np.diag([1.0, -2e-10]), False),
+        (np.array([[1.0, 0.3], [0.3 + 0.5e-12, 1.0]]), True),
+        (np.array([[1.0, 0.3], [0.3 + 2e-12, 1.0]]), False),
+    ],
+)
+def test_block_covariance_and_baseline_spec_share_one_rule(matrix, accepted):
+    builders = [
+        lambda: _cov(matrix, 1, 2),
+        lambda: E.BaselineSpec(sigma_xi=matrix),
+    ]
+    for build in builders:
+        if accepted:
+            build()
+        else:
+            with pytest.raises(E.DegenerateSpec):
+                build()
+
+
 def test_construction_rejects_indefinite():
     with pytest.raises(ValueError):
         _cov([[1.0, 0.0], [0.0, -1.0]], 1, 2)
@@ -174,13 +198,3 @@ def test_domination_chain_transitive():
         sa, sc = E.second_moment(a), E.second_moment(c)
         ok, margin = E.loewner_dominates(sa, sc, tol=1e-8)
         assert ok, margin
-
-
-def test_blockcov_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    cov = _cov(random_psd(rng, 6), 3, 2)
-    path = tmp_path / "cov.csv"
-    E.blockcov_to_csv(cov, path)
-    back = E.blockcov_from_csv(path)
-    np.testing.assert_array_equal(back.matrix, cov.matrix)
-    assert back.d == 3 and back.p == 2

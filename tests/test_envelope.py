@@ -29,6 +29,31 @@ def test_membership_scaling():
     assert not E.is_member(double, a)[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    rel_gap=st.sampled_from([-2e-8, -1e-10]),
+)
+def test_membership_verdict_is_scale_free(seed, k, rel_gap):
+    # the candidate adds one atom, so its moment exceeds the reference's by
+    # -rel_gap * max|Sigma_A| along one direction; the verdict must read the
+    # same when both ensembles are rescaled
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(rng, m=6, d=2, p=2)
+    u = rng.standard_normal(4)
+    u /= np.linalg.norm(u)
+    excess = -rel_gap * np.abs(E.second_moment(a).matrix).max()
+    root = 10.0 ** (k / 2)
+    ref = E.SourceEnsemble(space=a.space, values=root * a.values)
+    cand = E.SourceEnsemble(
+        space=E.MeasureSpace(weights=np.append(a.space.weights, 1.0)),
+        values=root * np.concatenate([a.values, np.sqrt(excess) * u.reshape(1, 2, 2)]),
+    )
+    ok, _ = E.is_member(cand, ref)
+    assert ok == (rel_gap == -1e-10)
+
+
 def test_membership_checks_block_shape():
     rng = np.random.default_rng(3)
     with pytest.raises(E.ShapeMismatch):

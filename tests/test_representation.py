@@ -69,13 +69,12 @@ def test_observed_moments_match_push_forward():
 def test_norm_bound_dominates_factors():
     rng = np.random.default_rng(6)
     rep = random_representation(rng, 2, 3)
-    norms = E.representation_norms(rep)
-    assert norms["joint_norm"] >= norms["target_norm"] - 1e-12
-    assert norms["joint_norm"] >= norms["input_norm"] - 1e-12
+    target_norm = np.linalg.norm(rep.target_map, ord=2)
+    input_norm = np.linalg.norm(rep.input_map, ord=2)
+    assert rep.norm_bound >= target_norm - 1e-12
+    assert rep.norm_bound >= input_norm - 1e-12
     # stacking cannot exceed the pythagorean combination either
-    assert norms["joint_norm"] <= np.hypot(
-        norms["target_norm"], norms["input_norm"]
-    ) + 1e-12
+    assert rep.norm_bound <= np.hypot(target_norm, input_norm) + 1e-12
 
 
 def test_truncate_shapes_and_bounds():

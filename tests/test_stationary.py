@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envmm as E
-from helpers import random_sequence, scaled_sequence
+import envmm.stationary as stationary
+from helpers import count_eigensolves, random_sequence, scaled_sequence
 
 
 def _white_pair(c12=0.5):
@@ -61,6 +64,31 @@ def test_spectral_density_hermitian_psd_for_factor_sequences():
         )
         mins = np.linalg.eigvalsh(sd.values)[:, 0]
         assert mins.min() >= -1e-10 * (1.0 + np.abs(sd.values).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    rel_gap=st.sampled_from([-2e-8, -1e-10]),
+)
+def test_wss_envelope_verdict_is_scale_free(seed, k, rel_gap):
+    # sb exceeds sa along one direction at one frequency by -rel_gap * max|sa|;
+    # the verdict must read the same at every scale
+    rng = np.random.default_rng(seed)
+    n, d = 8, 2
+    roots = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    sa = roots @ np.conj(np.transpose(roots, (0, 2, 1)))
+    u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    sb = sa.copy()
+    sb[int(rng.integers(n))] -= rel_gap * np.abs(sa).max() * np.outer(u, np.conj(u))
+    omegas = 2.0 * np.pi * np.arange(n) / n
+    ok, _ = E.wss_envelope_test(
+        E.SpectralDensity(omegas=omegas, values=10.0**k * sa),
+        E.SpectralDensity(omegas=omegas, values=10.0**k * sb),
+    )
+    assert ok == (rel_gap == -1e-10)
 
 
 def test_wss_envelope_scaled_sequence_dominates():
@@ -124,19 +152,6 @@ def test_wiener_symbol_input_validation():
         E.wiener_symbol(np.ones(3), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         E.wiener_symbol(np.ones(3), np.array([1.0, 1.0j, 1.0]))
-
-
-def test_add_baseline_spectrum_cancels_in_differences():
-    rng = np.random.default_rng(6)
-    a = tuple(rng.standard_normal(8) for _ in range(3))
-    b = tuple(rng.standard_normal(8) for _ in range(3))
-    x = tuple(rng.standard_normal(8) for _ in range(3))
-    lifted_a = E.add_baseline_spectrum(a, x)
-    lifted_b = E.add_baseline_spectrum(b, x)
-    for la, lb, pa, pb in zip(lifted_a, lifted_b, a, b):
-        np.testing.assert_allclose(la - lb, pa - pb, atol=1e-14)
-    with pytest.raises(E.ShapeMismatch):
-        E.add_baseline_spectrum(a, tuple(v[:4] for v in x))
 
 
 def test_circulant_matrix_entries():
@@ -209,6 +224,48 @@ def test_oracle_random_sequence_matches_ratio():
         )
 
 
+def _rank_one_sequence(rng, max_lag=3):
+    """Both channels carry one scalar moving average along a fixed direction,
+    so every spectral block has rank one and a zero eigenvalue."""
+    taps = rng.standard_normal(max_lag + 1)
+    v = rng.standard_normal(2)
+    nonneg = np.array(
+        [taps[tau:] @ taps[: taps.size - tau] * np.outer(v, v) for tau in range(max_lag + 1)]
+    )
+    return E.CovarianceSequence.from_nonneg_lags(nonneg)
+
+
+@pytest.mark.parametrize(
+    "make_seq",
+    [
+        lambda rng: random_sequence(rng, max_lag=3),
+        _rank_one_sequence,
+        lambda rng: _white_pair(float(rng.uniform(-0.9, 0.9))),
+    ],
+    ids=["moving_average", "rank_one_blocks", "white_noise"],
+)
+def test_fourier_atoms_realize_the_periodic_covariance(make_seq):
+    rng = np.random.default_rng(14)
+    n = 12
+    seq = make_seq(rng)
+    sd = E.spectral_density(seq, n)
+    evals, evecs = np.linalg.eigh(sd.values)
+    atoms, weights = stationary._fourier_atoms(sd.omegas, evals, evecs, rng)
+    flat = atoms.transpose(0, 2, 1).reshape(atoms.shape[0], -1)  # time-major
+    moment = (flat * weights[:, None]).T @ flat
+    target = E.circulant_matrix(seq, n)
+    assert np.abs(moment - target).max() <= 1e-12 * np.abs(target).max()
+
+
+def test_oracle_makes_two_eigendecompositions(monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    seq = random_sequence(np.random.default_rng(15), max_lag=2)
+    model = E.LTIModel.from_impulse_response([1.0, 0.5], [0.8, -0.3], 8)
+    E.circulant_oracle(seq, model, 8, seed=0)
+    # one batched eigh of the spectral blocks, one of the Gram block
+    assert counts == {"eigh": 2, "eigvalsh": 0}
+
+
 def test_oracle_dead_observation_channel():
     model = E.LTIModel.from_impulse_response([1.0], [0.0], 16)
     report = E.circulant_oracle(_white_pair(0.5), model, 16, seed=0)
@@ -249,20 +306,3 @@ def test_oracle_grid_guards():
 def test_model_kernel_longer_than_grid():
     with pytest.raises(E.ShapeMismatch):
         E.LTIModel.from_impulse_response(np.ones(9), [1.0], 8)
-
-
-def test_sequence_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    seq = random_sequence(rng, max_lag=3)
-    path = tmp_path / "seq.csv"
-    E.sequence_to_csv(seq, path)
-    back = E.sequence_from_csv(path)
-    np.testing.assert_array_equal(back.lags, seq.lags)
-
-
-def test_spectrum_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    path = tmp_path / "spec.csv"
-    E.spectrum_to_csv(values, path)
-    np.testing.assert_array_equal(E.spectrum_from_csv(path), values)
