@@ -5,6 +5,7 @@ from .covariance import (
     compress,
     dense_subset_check,
     loewner_dominates,
+    loewner_order,
     order_spectrum,
     push_forward,
     quadratic_form,
@@ -87,6 +88,7 @@ from .stationary import (
     spectral_density,
     spectral_margins,
     wiener_symbol,
+    wss_envelope_order,
     wss_envelope_test,
 )
 

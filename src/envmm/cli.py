@@ -183,14 +183,18 @@ def _run_envelope_check(params: dict, base_dir: Path):
     tol = _float(params, "tol", 1e-9)
     source = _load_ensemble(params["source"], base_dir, "source")
     candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
-    member, margin = env.is_member(candidate, source, tol=tol)
-    spectrum = cov.order_spectrum(
-        me.second_moment(source), me.second_moment(candidate)
+    if (candidate.d, candidate.p) != (source.d, source.p):
+        raise BadConfig(
+            f"field 'candidate' has block shape {(candidate.d, candidate.p)}, "
+            f"source has {(source.d, source.p)}"
+        )
+    member, spectrum = cov.loewner_order(
+        me.second_moment(source), me.second_moment(candidate), tol=tol
     )
     report = {
         "kind": "envelope_check",
-        "member": bool(member),
-        "lambda_min_margin": float(margin),
+        "member": member,
+        "lambda_min_margin": float(spectrum[0]),
         "tol": tol,
     }
     series = [["eig_index", "order_eigenvalue"]] + [
@@ -281,13 +285,13 @@ def _run_wss_envelope(params: dict, base_dir: Path):
     _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
     sa = st.spectral_density(seq_a, n_freq)
     sb = st.spectral_density(seq_b, n_freq)
-    ok, (worst_freq, worst_margin) = st.wss_envelope_test(sa, sb, tol=tol)
-    margins = st.spectral_margins(sa, sb)
+    ok, margins = st.wss_envelope_order(sa, sb, tol=tol)
+    worst = int(np.argmin(margins))
     report = {
         "kind": "wss_envelope",
-        "member": bool(ok),
-        "worst_frequency": worst_freq,
-        "worst_margin": worst_margin,
+        "member": ok,
+        "worst_frequency": float(sa.omegas[worst]),
+        "worst_margin": float(margins[worst]),
         "n_freq": n_freq,
         "tol": tol,
     }

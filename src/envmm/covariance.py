@@ -76,21 +76,26 @@ class BlockCovariance:
         return self.d * self.p
 
 
+def loewner_order(
+    big: BlockCovariance, small: BlockCovariance, tol: float = 1e-9
+) -> tuple[bool, NDArray]:
+    """Decide big >= small in the semidefinite order, keeping the spectrum.
+
+    Returns (verdict, ascending eigenvalues of big - small). The verdict
+    allows the minimal eigenvalue to dip to -tol * max|big|, which absorbs
+    round-off from the symmetric eigensolve; the slack is relative to big,
+    so rescaling both operands never changes the verdict.
+    """
+    spectrum = order_spectrum(big, small)
+    return bool(spectrum[0] >= -tol * float(np.abs(big.matrix).max())), spectrum
+
+
 def loewner_dominates(
     big: BlockCovariance, small: BlockCovariance, tol: float = 1e-9
 ) -> tuple[bool, float]:
-    """Decide big >= small in the semidefinite order.
-
-    Returns (verdict, lambda_min(big - small)). The verdict allows the
-    minimal eigenvalue to dip to -tol * max|big|, which absorbs round-off
-    from the symmetric eigensolve; the slack is relative to big, so
-    rescaling both operands never changes the verdict.
-    """
-    if big.dim != small.dim:
-        raise ShapeMismatch(f"dimension mismatch: {big.dim} vs {small.dim}")
-    diff = big.matrix - small.matrix
-    lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return lam_min >= -tol * float(np.abs(big.matrix).max()), lam_min
+    """loewner_order's verdict with lambda_min(big - small) alone."""
+    ok, spectrum = loewner_order(big, small, tol=tol)
+    return ok, float(spectrum[0])
 
 
 def order_spectrum(big: BlockCovariance, small: BlockCovariance) -> NDArray:

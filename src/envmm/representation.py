@@ -10,6 +10,7 @@ separately because continuity estimates need it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,9 +249,9 @@ class EllipticConfig:
     def __post_init__(self):
         if self.n_x < 2:
             raise BadConfig(f"n_x must be at least 2, got {self.n_x}")
-        if self.potential < 0:
+        if not self.potential >= 0:
             raise BadConfig(f"potential must be nonnegative, got {self.potential}")
-        if self.bump_width is not None and self.bump_width <= 0:
+        if self.bump_width is not None and not self.bump_width > 0:
             raise BadConfig(f"bump_width must be positive, got {self.bump_width}")
         if len(self.bump_centers) != len(self.alphas):
             raise BadConfig(
@@ -273,21 +274,44 @@ class EllipticConfig:
         return len(self.bump_centers)
 
 
-def _tridiag_solve(lower: float, diag: NDArray, upper: float, rhs: NDArray) -> NDArray:
-    """Thomas algorithm for a constant-offdiagonal tridiagonal system."""
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower * cp[i - 1]
-        cp[i] = upper / denom
-        dp[i] = (rhs[i] - lower * dp[i - 1]) / denom
-    out = np.empty(n)
-    out[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
+def _dst1(buf: NDArray) -> NDArray:
+    """DST-I X_k = sum_j x_j sin(pi j k / n), j, k = 1..n-1, of x = buf[1:].
+
+    n = buf.size; buf[0] is ignored and buf is overwritten. Returns a new
+    float buffer with X in [1:n] and 0 in [0], so it can be transformed
+    again as it stands. The work is one real FFT of length n of the
+    folded sequence y_j = sin(pi j / n)(x_j + x_{n-j}) + (x_j - x_{n-j}) / 2
+    (y_0 = 0), built in place pair by pair. Its spectrum R gives
+    X_{2k} = -Im R_k and the differences X_{2k+1} - X_{2k-1} = Re R_k,
+    from X_1 = Re R_0 / 2; each lands in the slot next to it in R's own
+    float view. Only half-length temporaries are made besides the FFT's.
+    """
+    n = buf.size
+    m = (n - 1) // 2
+    lo = buf[1 : m + 1]  # x_j for j = 1..m
+    hi = buf[n - 1 : n - m - 1 : -1]  # x_{n-j} for j = 1..m
+    half_diff = np.subtract(lo, hi)
+    half_diff *= 0.5
+    lo += hi
+    sines = np.arange(1.0, m + 1)
+    sines *= np.pi / n
+    np.sin(sines, out=sines)
+    lo *= sines
+    del sines
+    np.subtract(lo, half_diff, out=hi)
+    lo += half_diff
+    del half_diff
+    if n % 2 == 0:
+        buf[n // 2] *= 2.0  # sin(pi / 2) (x_j + x_j) at j = n / 2
+    buf[0] = 0.0
+    out = np.fft.rfft(buf).view(float)
+    re, im = out[0::2], out[1::2]
+    re[0] *= 0.5
+    np.cumsum(re, out=re)  # re[k] = X_{2k+1}
+    minus_im = np.negative(im)  # minus_im[k] = X_{2k}
+    im[:] = re
+    re[:] = minus_im
+    re[0] = 0.0
     return out
 
 
@@ -296,13 +320,28 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
 
     Second-order centered differences on the uniform grid; f holds the
     n_x - 1 interior nodal values and the interior solution is returned.
+    The difference operator is diagonal in the DST-I basis, with
+    eigenvalues lam_k = (2 n_x sin(pi k / (2 n_x)))^2 + potential (the
+    sin^2 form does not cancel as 2 - 2 cos does), so the solve is
+    z = (2 / n_x) DST(DST(f) / lam), exact up to round-off.
     """
     f = np.asarray(f, dtype=float)
     if f.size != n_x - 1:
         raise ShapeMismatch(f"expected {n_x - 1} interior values, got {f.size}")
-    h = 1.0 / n_x
-    diag = np.full(n_x - 1, 2.0 / h**2 + potential)
-    return _tridiag_solve(-1.0 / h**2, diag, -1.0 / h**2, f)
+    buf = np.empty(n_x)
+    buf[1:] = f.reshape(-1)
+    buf = _dst1(buf)
+    lam = np.arange(1.0, n_x)
+    lam *= np.pi / (2 * n_x)
+    np.sin(lam, out=lam)
+    lam *= 2.0 * n_x
+    lam *= lam
+    lam += potential
+    buf[1:n_x] /= lam
+    del lam
+    z = _dst1(buf[:n_x])[1:n_x]
+    z *= 2.0 / n_x
+    return z
 
 
 def green_functional(
@@ -323,23 +362,29 @@ def _mollifier(s: NDArray) -> NDArray:
     return out
 
 
-def _source_profile(cfg: EllipticConfig, center: float) -> NDArray:
+def _source_profile(cfg: EllipticConfig, center: float) -> tuple[slice, NDArray]:
     """Interior nodal values of the component's spatial profile.
 
-    Bumps are normalized to unit discrete mass h * sum g = 1 so the
-    forcing they inject is width-independent; the flat profile is the
-    constant 1 (not normalized), matching the unit forcing benchmark.
+    Returns the range of interior indices where the profile can be
+    nonzero and its values there: a bump is evaluated only on nodes
+    within one grid step of |x - center| < bump_width. Bumps are
+    normalized to unit discrete mass h * sum g = 1 so the forcing they
+    inject is width-independent; the flat profile is the constant 1 on
+    the whole grid (not normalized), matching the unit forcing benchmark.
     """
-    nodes = np.arange(1, cfg.n_x) / cfg.n_x
+    n_x = cfg.n_x
     if cfg.bump_width is None:
-        return np.ones(cfg.n_x - 1)
+        return slice(0, n_x - 1), np.ones(n_x - 1)
+    first = max(1, math.floor(max(center - cfg.bump_width, 0.0) * n_x) - 1)
+    last = min(n_x - 1, math.ceil(min(center + cfg.bump_width, 1.0) * n_x) + 1)
+    nodes = np.arange(first, last + 1) / n_x
     raw = _mollifier((nodes - center) / cfg.bump_width)
-    mass = raw.sum() / cfg.n_x
+    mass = raw.sum() / n_x
     if mass <= 0.0:
         raise BadConfig(
             f"bump at {center} with width {cfg.bump_width} misses every grid node"
         )
-    return raw / mass
+    return slice(first - 1, last), raw / mass
 
 
 def build_elliptic_representation(
@@ -353,6 +398,10 @@ def build_elliptic_representation(
     on every time coefficient. The input channel aggregates components
     with the alpha weights, also coefficient-wise. Returns the operator
     and builder metadata (grid step, per-component gains).
+
+    The discrete solution operator G (green_apply) is symmetric, so
+    gamma_j = h <G g_j, ell> = h <g_j, G ell>: one solve w = G ell gives
+    every gain, each read off the support of g_j alone.
     """
     d, p = cfg.d, cfg.basis_dim
     ell = (
@@ -360,10 +409,11 @@ def build_elliptic_representation(
         if cfg.ell is None
         else np.asarray(cfg.ell, dtype=float)
     )
-    gains = [
-        green_functional(cfg.n_x, cfg.potential, _source_profile(cfg, c), ell)
-        for c in cfg.bump_centers
-    ]
+    w = green_apply(cfg.n_x, cfg.potential, ell)
+    gains = []
+    for center in cfg.bump_centers:
+        support, g = _source_profile(cfg, center)
+        gains.append(float(g @ w[support]) / cfg.n_x)
     eye = np.eye(p)
     target = np.hstack([g * eye for g in gains])
     inputm = np.hstack([a * eye for a in cfg.alphas])
@@ -373,7 +423,7 @@ def build_elliptic_representation(
     meta = {
         "n_x": cfg.n_x,
         "grid_step": 1.0 / cfg.n_x,
-        "component_gains": [float(g) for g in gains],
+        "component_gains": gains,
         "potential": float(cfg.potential),
     }
     return rep, meta

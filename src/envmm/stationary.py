@@ -213,19 +213,26 @@ def spectral_margins(sa: SpectralDensity, sb: SpectralDensity) -> NDArray:
     return np.linalg.eigvalsh(sa.values - sb.values)[:, 0]
 
 
+def wss_envelope_order(
+    sa: SpectralDensity, sb: SpectralDensity, tol: float = 1e-9
+) -> tuple[bool, NDArray]:
+    """Frequency-wise covariance domination of sb by sa, keeping the margins.
+
+    Returns the verdict and spectral_margins(sa, sb). The slack
+    -tol * max|sa| is relative, so rescaling both densities never changes
+    the verdict.
+    """
+    margins = spectral_margins(sa, sb)
+    return bool(margins.min() >= -tol * float(np.abs(sa.values).max())), margins
+
+
 def wss_envelope_test(
     sa: SpectralDensity, sb: SpectralDensity, tol: float = 1e-9
 ) -> tuple[bool, tuple[float, float]]:
-    """Frequency-wise covariance domination of sb by sa.
-
-    Returns the verdict and the worst offender as (frequency, bottom
-    eigenvalue of the spectral gap there). The slack -tol * max|sa| is
-    relative, so rescaling both densities never changes the verdict.
-    """
-    margins = spectral_margins(sa, sb)
+    """wss_envelope_order's verdict with the worst offender alone, as
+    (frequency, bottom eigenvalue of the spectral gap there)."""
+    ok, margins = wss_envelope_order(sa, sb, tol=tol)
     worst = int(np.argmin(margins))
-    scale = float(np.abs(sa.values).max())
-    ok = bool(margins[worst] >= -tol * scale)
     return ok, (float(sa.omegas[worst]), float(margins[worst]))
 
 
@@ -304,10 +311,10 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
 
 
 def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
+    """Reject a response that is not conjugate symmetric to 1e-9 * max|resp|."""
     n = resp.size
     mirrored = np.conj(resp[(-np.arange(n)) % n])
-    scale = max(1.0, float(np.abs(resp).max()))
-    if float(np.abs(resp - mirrored).max()) > 1e-9 * scale:
+    if float(np.abs(resp - mirrored).max()) > 1e-9 * float(np.abs(resp).max()):
         raise ValueError(f"{name} must be conjugate symmetric (real kernel)")
 
 
@@ -350,7 +357,9 @@ def circulant_oracle(
     time-domain normal equations, and reads the solution's symbol off
     its DFT diagonal. The report compares that symbol against the
     frequency-wise ratio; the two routes share no code beyond the
-    spectral blocks.
+    spectral blocks. EmbeddingNotPSD is raised when a spectral block
+    eigenvalue falls below -1e-9 * max|S|, a slack relative to the
+    spectral density S, so rescaling the sequence never changes it.
     """
     if seq.d != 2:
         raise WrongDimension(f"two channels required, got d={seq.d}")
@@ -366,8 +375,7 @@ def circulant_oracle(
     sd = spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd.values)
     emb_min = float(evals[:, 0].min())
-    scale = max(1.0, float(np.abs(sd.values).max()))
-    if emb_min < -1e-9 * scale:
+    if emb_min < -1e-9 * float(np.abs(sd.values).max()):
         raise EmbeddingNotPSD(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"

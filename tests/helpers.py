@@ -112,18 +112,30 @@ def contracted_ensemble(
     return E.sample_dominated(ens, seed=seed, n_samples=1, shrink_floor=floor)[0]
 
 
+def count_calls(monkeypatch, module, name: str, counts: dict | None = None) -> dict:
+    """Count calls of module.name made from now on, as counts[name].
+
+    Only callers that look the name up on the module at call time are
+    seen. Returns counts (a new dict unless one is passed to share).
+    """
+    counts = {} if counts is None else counts
+    counts[name] = 0
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def count_eigensolves(monkeypatch) -> dict:
     """Count numpy.linalg.eigh / eigvalsh calls made from now on.
 
     A batched call on a stack of matrices counts once.
     """
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    counts: dict = {}
+    for name in ("eigh", "eigvalsh"):
+        count_calls(monkeypatch, np.linalg, name, counts)
     return counts

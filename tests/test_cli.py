@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -139,6 +142,34 @@ def test_minimize_factorizes_the_gram_block_once(tmp_path, monkeypatch):
     assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
+def test_envelope_check_factorizes_each_matrix_once(tmp_path, monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    code, report, _ = _run("envelope_check", tmp_path)
+    assert code == 0 and report["member"]
+    # the PSD checks of the two second moments, then their difference
+    assert counts == {"eigh": 0, "eigvalsh": 3}
+
+
+def test_wss_envelope_factorizes_the_gap_stack_once(tmp_path, monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    code, report, _ = _run("wss_envelope", tmp_path)
+    assert code == 0 and report["member"]
+    assert counts == {"eigh": 0, "eigvalsh": 1}
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # the FFT users look np.fft up at call time, so startup stays as cheap
+    # as the kinds that never transform
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, envmm.cli; print('numpy.fft' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_summary_lines_are_stable(tmp_path, capsys):
     _run("minimize", tmp_path, name="a")
     first = capsys.readouterr().out
@@ -176,6 +207,8 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "basis_dim", 1e12),
         ("wss_envelope", "n_freq", 1e12),
         ("wss_filter", "n_freq", 1e308),
+        # a block layout (d, p) = (1, 4) against the source's (2, 2)
+        ("envelope_check", "candidate", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0, 0.0]]]}),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

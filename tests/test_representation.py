@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import envmm as E
+import envmm.representation as representation
 from helpers import (
     coefficient_diagonal_representation,
+    count_calls,
     random_baseline_spec,
     random_ensemble,
     random_representation,
@@ -168,6 +170,99 @@ def test_green_apply_matches_dense_solve():
     )
 
 
+@pytest.mark.parametrize("n_x", [2, 3, 4, 7, 16, 17, 99])
+def test_dst1_matches_dense_sine_matrix(n_x):
+    j = np.arange(1, n_x)
+    sines = np.sin(np.pi * np.outer(j, j) / n_x)
+    x = np.random.default_rng(n_x).standard_normal(n_x - 1)
+    dense = sines @ x
+    out = representation._dst1(np.concatenate([[0.0], x]))
+    assert out[0] == 0.0
+    np.testing.assert_allclose(
+        out[1:n_x], dense, rtol=0, atol=1e-12 * np.abs(dense).max()
+    )
+
+
+@pytest.mark.parametrize("potential", [0.0, 1.3, 50.0])
+def test_green_apply_matches_exact_discrete_solution(potential):
+    # unit forcing: x(1-x)/2 solves the difference equation exactly for
+    # V = 0; for V > 0 the discrete solution is 1/V minus a cosh mode with
+    # cosh(theta) = 1 + V h^2 / 2, written as sinh products to avoid
+    # cancellation
+    n_x = 100_000
+    i = np.arange(1, n_x)
+    if potential == 0.0:
+        exact = i / n_x * (1.0 - i / n_x) / 2.0
+    else:
+        theta = 2.0 * np.arcsinh(np.sqrt(potential) / (2.0 * n_x))
+        exact = (
+            2.0
+            * np.sinh(theta * i / 2.0)
+            * np.sinh(theta * (n_x - i) / 2.0)
+            / (potential * np.cosh(theta * n_x / 2.0))
+        )
+    z = E.green_apply(n_x, potential, np.ones(n_x - 1))
+    assert np.abs(z - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def _full_grid_profile(n_x, width, center):
+    """The component's profile on every interior node, by its definition."""
+    if width is None:
+        return np.ones(n_x - 1)
+    s = (np.arange(1, n_x) / n_x - center) / width
+    raw = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    raw[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
+    return raw / (raw.sum() / n_x)
+
+
+@pytest.mark.parametrize(
+    "n_x, width, centers, varying_ell",
+    [
+        (1000, 0.1, (0.04, 0.5, 0.97), False),  # two bumps cut by the boundary
+        (64, 0.1, (0.3, 0.7), False),
+        (200, None, (0.5,), False),  # flat profile
+        (333, 0.07, (0.2, 0.55, 0.8, 0.93), True),
+        (50, None, (0.3, 0.6), True),
+        (40, float("inf"), (0.5,), False),  # a bump as wide as the grid
+    ],
+)
+def test_gains_match_per_component_definition(n_x, width, centers, varying_ell):
+    nodes = np.arange(1, n_x) / n_x
+    ell = tuple(np.cos(5.0 * nodes) + nodes**2) if varying_ell else None
+    cfg = E.EllipticConfig(
+        n_x=n_x,
+        potential=1.7,
+        bump_width=width,
+        bump_centers=centers,
+        alphas=(1.0,) * len(centers),
+        ell=ell,
+    )
+    _, meta = E.build_elliptic_representation(cfg)
+    observable = np.ones(n_x - 1) if ell is None else np.array(ell)
+    for c, gain in zip(centers, meta["component_gains"]):
+        profile = _full_grid_profile(n_x, width, c)
+        support, _ = representation._source_profile(cfg, c)
+        outside = np.ones(n_x - 1, dtype=bool)
+        outside[support] = False
+        assert not profile[outside].any()
+        expected = E.green_functional(n_x, 1.7, profile, observable)
+        assert gain == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_elliptic_builder_solves_once(monkeypatch, d):
+    counts = count_calls(monkeypatch, representation, "green_apply")
+    cfg = E.EllipticConfig(
+        n_x=128,
+        bump_width=0.1,
+        bump_centers=tuple(np.linspace(0.2, 0.8, d)),
+        alphas=(1.0,) * d,
+    )
+    E.build_elliptic_representation(cfg)
+    assert counts == {"green_apply": 1}
+
+
 def test_green_functional_grid_limit():
     # <z, 1> with unit forcing tends to int x(1-x)/2 dx = 1/12 at
     # second order; the trapezoid defect h^2/12 makes it exact to
@@ -220,6 +315,13 @@ def test_elliptic_config_validation():
         E.EllipticConfig(n_x=8, basis_dim=0)
     with pytest.raises(E.BadConfig):
         E.EllipticConfig(n_x=8, ell=(1.0, 2.0))
+
+
+def test_elliptic_config_rejects_nan():
+    with pytest.raises(E.BadConfig):
+        E.EllipticConfig(n_x=8, potential=float("nan"))
+    with pytest.raises(E.BadConfig):
+        E.EllipticConfig(n_x=8, bump_width=float("nan"))
 
 
 def test_bump_profile_unit_mass():

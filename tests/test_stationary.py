@@ -266,6 +266,47 @@ def test_oracle_makes_two_eigendecompositions(monkeypatch):
     assert counts == {"eigh": 2, "eigvalsh": 0}
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-8, 8), rel_gap=st.sampled_from([2e-8, 1e-10]))
+def test_embedding_verdict_is_scale_free(k, rel_gap):
+    # lags K0 = I, K1 = c [[0, 1], [1, 0]] have spectral eigenvalues
+    # 1 +- 2c cos(omega); c = (1 + rel_gap) / 2 dips to -rel_gap at omega = pi,
+    # against max|S| = 1 + rel_gap, at every scale 10^k
+    c = 0.5 * (1.0 + rel_gap)
+    lags = 10.0**k * np.array([np.eye(2), [[0.0, c], [c, 0.0]]])
+    seq = E.CovarianceSequence.from_nonneg_lags(lags)
+    model = E.LTIModel.from_impulse_response([1.0, 0.5], [1.0], 16)
+    if rel_gap == 2e-8:
+        with pytest.raises(E.EmbeddingNotPSD):
+            E.circulant_oracle(seq, model, 16, seed=0)
+    else:
+        report = E.circulant_oracle(seq, model, 16, seed=0)
+        assert report.embedding_lambda_min < 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    rel_gap=st.sampled_from([2e-8, 1e-10]),
+)
+def test_conjugate_symmetry_verdict_is_scale_free(seed, k, rel_gap):
+    # one response bin breaks conjugate symmetry by rel_gap * max|response|
+    rng = np.random.default_rng(seed)
+    n = 8
+    resp = np.fft.fft(rng.standard_normal(3), n)
+    resp[1] += 1j * rel_gap * np.abs(resp).max()
+    model = E.LTIModel(
+        target_response=10.0**k * resp,
+        observation_response=np.fft.fft([1.0, 0.3], n),
+    )
+    if rel_gap == 2e-8:
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            E.circulant_oracle(_white_pair(0.5), model, n, seed=0)
+    else:
+        E.circulant_oracle(_white_pair(0.5), model, n, seed=0)
+
+
 def test_oracle_dead_observation_channel():
     model = E.LTIModel.from_impulse_response([1.0], [0.0], 16)
     report = E.circulant_oracle(_white_pair(0.5), model, 16, seed=0)
