@@ -73,7 +73,6 @@ def main() -> int:
     for dist, gap, bound in zip(closure.distances, closure.gaps, closure.bounds):
         print(f"  {dist:12.6f}  {gap:12.6f}  {bound:12.3f}")
     print(f"\ngaps within bound     {closure.gaps_within_bound}")
-    print(f"gaps monotone         {closure.gaps_monotone}")
     return 0 if report.member and closure.gaps_within_bound else 2
 
 

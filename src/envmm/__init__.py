@@ -2,13 +2,11 @@
 
 from .covariance import (
     BlockCovariance,
-    compress,
     dense_subset_check,
     loewner_dominates,
     loewner_order,
     order_spectrum,
     push_forward,
-    quadratic_form,
 )
 from .cost_minimizer import (
     CostSplit,
@@ -53,27 +51,21 @@ from .measure_ensemble import (
     BaselineSpec,
     MeasureSpace,
     SourceEnsemble,
-    ValidationReport,
     cross_moment,
     ensemble_distance,
     ensemble_from_csv,
     ensemble_norm,
     ensemble_to_csv,
     second_moment,
-    validate_baseline,
 )
 from .representation import (
     EllipticConfig,
     ObservedEnsemble,
     RepresentationOperator,
-    TruncatedRepresentation,
     apply,
     build_elliptic_representation,
     green_apply,
     green_functional,
-    observed_second_moments,
-    project_coefficients,
-    truncate,
     truncation_residual,
 )
 from .stationary import (

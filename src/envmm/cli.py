@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,32 +29,6 @@ from . import measure_ensemble as me
 from . import representation as rp
 from . import stationary as st
 from .errors import BadConfig, EnvmmError
-
-KINDS = (
-    "envelope_check",
-    "minimize",
-    "verify_extremal",
-    "wss_envelope",
-    "wss_filter",
-    "elliptic_demo",
-)
-
-_REQUIRED = {
-    "envelope_check": ("source", "candidate"),
-    "minimize": ("source", "target_map", "input_map"),
-    "verify_extremal": (
-        "source",
-        "sigma_xi",
-        "target_map",
-        "input_map",
-        "seed",
-        "n_samples",
-        "n_operators",
-    ),
-    "wss_envelope": ("seq_a", "seq_b", "n_freq"),
-    "wss_filter": ("seq", "target_kernel", "observation_kernel", "n_freq", "seed"),
-    "elliptic_demo": ("n_x", "bump_centers", "alphas", "basis_dim", "seed", "n_atoms"),
-}
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
 # checked before the array is built, so an oversized count exits 1.
@@ -82,7 +57,7 @@ class ExperimentConfig:
             raise BadConfig(
                 f"config field 'kind' must be one of {', '.join(KINDS)}; got {kind!r}"
             )
-        missing = [f for f in _REQUIRED[kind] if f not in raw]
+        missing = [f for f in _KIND_SPECS[kind].required if f not in raw]
         if missing:
             raise BadConfig(
                 f"config for kind '{kind}' is missing field(s): {', '.join(missing)}"
@@ -93,7 +68,7 @@ class ExperimentConfig:
 
 def _int(params: dict, field: str, minimum: int | None = None) -> int:
     raw = params[field]
-    if isinstance(raw, float) and not raw.is_integer():
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         raise BadConfig(f"field '{field}' must be an integer; got {raw!r}")
     try:
         value = int(raw)
@@ -118,6 +93,13 @@ def _float(params: dict, field: str, default=None) -> float:
         return float(raw)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"field '{field}' must be a number; got {raw!r}") from exc
+
+
+def _tol(params: dict, field: str, default: float) -> float:
+    value = _float(params, field, default)
+    if not 0.0 <= value < float("inf"):
+        raise BadConfig(f"field '{field}' must be a finite number >= 0; got {value!r}")
+    return value
 
 
 def _floats(params: dict, field: str) -> tuple[float, ...]:
@@ -180,7 +162,7 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
 
 
 def _run_envelope_check(params: dict, base_dir: Path):
-    tol = _float(params, "tol", 1e-9)
+    tol = _tol(params, "tol", 1e-9)
     source = _load_ensemble(params["source"], base_dir, "source")
     candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
     if (candidate.d, candidate.p) != (source.d, source.p):
@@ -208,7 +190,7 @@ def _run_minimize(params: dict, base_dir: Path):
     rep = _representation(params, source.d, source.p)
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)
-    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
+    rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     report = {
         "kind": "minimize",
         "coercivity_margin": cm.coercivity_margin(system),
@@ -252,7 +234,7 @@ def _run_verify_extremal(params: dict, base_dir: Path):
     _check_budget("n_operators", n_operators * rep.p_out * rep.q)
     spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
     seed = _int(params, "seed", minimum=0)
-    tol = _float(params, "tol", 1e-9)
+    tol = _tol(params, "tol", 1e-9)
     shrink_floor = _float(params, "shrink_floor", 0.0)
     rng = np.random.default_rng(seed)
     estimators = [
@@ -278,10 +260,10 @@ def _run_verify_extremal(params: dict, base_dir: Path):
 
 
 def _run_wss_envelope(params: dict, base_dir: Path):
-    tol = _float(params, "tol", 1e-9)
+    tol = _tol(params, "tol", 1e-9)
     seq_a = _load_sequence(params["seq_a"], "seq_a")
     seq_b = _load_sequence(params["seq_b"], "seq_b")
-    n_freq = _int(params, "n_freq")
+    n_freq = _int(params, "n_freq", minimum=1)
     _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
     sa = st.spectral_density(seq_a, n_freq)
     sb = st.spectral_density(seq_b, n_freq)
@@ -303,10 +285,10 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
-    n = _int(params, "n_freq")
+    n = _int(params, "n_freq", minimum=1)
     _check_budget("n_freq", n * n)
     seed = _int(params, "seed", minimum=0)
-    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
+    rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(
         _load_array(params["target_kernel"], "target_kernel", 1),
         _load_array(params["observation_kernel"], "observation_kernel", 1),
@@ -348,7 +330,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
     seed = _int(params, "seed", minimum=0)
     m = _int(params, "n_atoms", minimum=1)
     _check_budget("n_atoms", m * cfg.d * cfg.basis_dim)
-    tol = _float(params, "tol", 1e-9)
+    tol = _tol(params, "tol", 1e-9)
     rep, meta = rp.build_elliptic_representation(cfg)
     rng = np.random.default_rng(seed)
     source = me.SourceEnsemble(
@@ -387,66 +369,94 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
         )
         code = 0 if transfer_ok else 2
     series = [["n_in", "truncation_residual"]]
+    n_out = min(rep.p_out, rep.q)
     for n_in in range(1, cfg.basis_dim + 1):
-        trunc = rp.truncate(rep, n_in, min(rep.p_out, rep.q))
-        _, aggregate = rp.truncation_residual(rep, trunc, source)
+        _, aggregate = rp.truncation_residual(rep, source, n_in, n_out)
         series.append([n_in, float(aggregate)])
     return report, series, code
 
 
-_PIPELINES = {
-    "envelope_check": _run_envelope_check,
-    "minimize": _run_minimize,
-    "verify_extremal": _run_verify_extremal,
-    "wss_envelope": _run_wss_envelope,
-    "wss_filter": _run_wss_filter,
-    "elliptic_demo": _run_elliptic_demo,
+@dataclass(frozen=True)
+class _KindSpec:
+    """What the driver knows of one kind: the fields a config must give,
+    the field that --tol overrides, the summary fields, and the pipeline."""
+
+    required: tuple[str, ...]
+    tol_field: str
+    summary: tuple[str, ...]
+    pipeline: Callable[[dict, Path], tuple[dict, list, int]]
+
+
+_KIND_SPECS = {
+    "envelope_check": _KindSpec(
+        required=("source", "candidate"),
+        tol_field="tol",
+        summary=("member", "lambda_min_margin", "tol"),
+        pipeline=_run_envelope_check,
+    ),
+    "minimize": _KindSpec(
+        required=("source", "target_map", "input_map"),
+        tol_field="rank_tol",
+        summary=(
+            "no_minimizer",
+            "residual",
+            "kernel_dim",
+            "unique",
+            "hs_norm",
+            "coercivity_margin",
+            "cost",
+            "range_violation",
+        ),
+        pipeline=_run_minimize,
+    ),
+    "verify_extremal": _KindSpec(
+        required=(
+            "source",
+            "sigma_xi",
+            "target_map",
+            "input_map",
+            "seed",
+            "n_samples",
+            "n_operators",
+        ),
+        tol_field="tol",
+        summary=("member", "max_violation", "cost_reference", "lambda_min_margin"),
+        pipeline=_run_verify_extremal,
+    ),
+    "wss_envelope": _KindSpec(
+        required=("seq_a", "seq_b", "n_freq"),
+        tol_field="tol",
+        summary=("member", "worst_frequency", "worst_margin"),
+        pipeline=_run_wss_envelope,
+    ),
+    "wss_filter": _KindSpec(
+        required=("seq", "target_kernel", "observation_kernel", "n_freq", "seed"),
+        tol_field="rank_tol",
+        summary=(
+            "max_symbol_gap",
+            "flagged_count",
+            "no_minimizer",
+            "embedding_lambda_min",
+            "off_diagonal_leakage",
+        ),
+        pipeline=_run_wss_filter,
+    ),
+    "elliptic_demo": _KindSpec(
+        required=("n_x", "bump_centers", "alphas", "basis_dim", "seed", "n_atoms"),
+        tol_field="tol",
+        summary=(
+            "transfer_ok",
+            "transfer_margin",
+            "residual",
+            "kernel_dim",
+            "unique",
+            "no_minimizer",
+        ),
+        pipeline=_run_elliptic_demo,
+    ),
 }
 
-_TOL_FIELD = {
-    "envelope_check": "tol",
-    "minimize": "rank_tol",
-    "verify_extremal": "tol",
-    "wss_envelope": "tol",
-    "wss_filter": "rank_tol",
-    "elliptic_demo": "tol",
-}
-
-_SUMMARY_FIELDS = {
-    "envelope_check": ("member", "lambda_min_margin", "tol"),
-    "minimize": (
-        "no_minimizer",
-        "residual",
-        "kernel_dim",
-        "unique",
-        "hs_norm",
-        "coercivity_margin",
-        "cost",
-        "range_violation",
-    ),
-    "verify_extremal": (
-        "member",
-        "max_violation",
-        "cost_reference",
-        "lambda_min_margin",
-    ),
-    "wss_envelope": ("member", "worst_frequency", "worst_margin"),
-    "wss_filter": (
-        "max_symbol_gap",
-        "flagged_count",
-        "no_minimizer",
-        "embedding_lambda_min",
-        "off_diagonal_leakage",
-    ),
-    "elliptic_demo": (
-        "transfer_ok",
-        "transfer_margin",
-        "residual",
-        "kernel_dim",
-        "unique",
-        "no_minimizer",
-    ),
-}
+KINDS = tuple(_KIND_SPECS)
 
 
 def _format_value(value) -> str:
@@ -461,10 +471,9 @@ def _format_value(value) -> str:
 
 def emit_summary(report: dict) -> str:
     """Fixed-width field table for one report, deterministic ordering."""
-    kind = report.get("kind", "")
-    fields = _SUMMARY_FIELDS.get(kind, tuple(sorted(report)))
+    kind = report["kind"]
     lines = [f"{'kind':<24} {kind}"]
-    for name in fields:
+    for name in _KIND_SPECS[kind].summary:
         if name in report:
             lines.append(f"{name:<24} {_format_value(report[name])}")
     return "\n".join(lines)
@@ -498,11 +507,12 @@ def run(
         params = dict(config.params)
         if seed is not None:
             params["seed"] = int(seed)
+        spec = _KIND_SPECS[config.kind]
         if tol is not None:
-            params[_TOL_FIELD[config.kind]] = float(tol)
+            params[spec.tol_field] = float(tol)
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
-        report, series, code = _PIPELINES[config.kind](params, config.base_dir)
+        report, series, code = spec.pipeline(params, config.base_dir)
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadTruncation, DegenerateSpec, ShapeMismatch
+from .errors import DegenerateSpec, ShapeMismatch
 
 SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
@@ -103,35 +103,6 @@ def order_spectrum(big: BlockCovariance, small: BlockCovariance) -> NDArray:
     if big.dim != small.dim:
         raise ShapeMismatch(f"dimension mismatch: {big.dim} vs {small.dim}")
     return np.linalg.eigvalsh(big.matrix - small.matrix)
-
-
-def quadratic_form(cov: BlockCovariance, g: NDArray) -> float:
-    """Evaluate g^T S g for a flattened coefficient vector g."""
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if g.size != cov.dim:
-        raise ShapeMismatch(f"vector of size {g.size} against dimension {cov.dim}")
-    return float(g @ cov.matrix @ g)
-
-
-def _coefficient_mask(d: int, p: int, level: int) -> NDArray:
-    keep = np.zeros(d * p, dtype=bool)
-    for i in range(d):
-        keep[i * p : i * p + level] = True
-    return keep
-
-
-def compress(cov: BlockCovariance, level: int) -> BlockCovariance:
-    """Project onto the leading `level` coefficients of every component.
-
-    Rows and columns whose coefficient index is level or beyond are
-    zeroed; the matrix keeps its size and block layout, so the result is
-    P S P for the coordinate projection P. Idempotent in `level`.
-    """
-    if not 1 <= level <= cov.p:
-        raise BadTruncation(f"level {level} outside 1..{cov.p}")
-    keep = _coefficient_mask(cov.d, cov.p, level)
-    out = np.where(keep[:, None] & keep[None, :], cov.matrix, 0.0)
-    return BlockCovariance(matrix=out, d=cov.d, p=cov.p)
 
 
 def push_forward(lin: NDArray, cov: BlockCovariance) -> BlockCovariance:

@@ -70,7 +70,6 @@ class ClosureReport:
     gaps: list[float]
     bounds: list[float]
     gaps_within_bound: bool
-    gaps_monotone: bool
     max_gap: float
 
 
@@ -265,8 +264,7 @@ def closure_regression(
 
     The baseline part of the cost is shared, so each gap is the absolute
     difference of source parts. Every gap must sit under the Lipschitz
-    bound, and gaps must shrink (within tol slack) as the distance to
-    the limit shrinks.
+    bound, within tol slack.
     """
     h_limit = cost_decomposed(a_limit, spec, rep, est).source_part
     distances, gaps, bounds = [], [], []
@@ -277,16 +275,10 @@ def closure_regression(
         )
         bounds.append(cost_difference_bound(approx, a_limit, rep, est))
     within = all(g <= b + tol for g, b in zip(gaps, bounds))
-    order = sorted(range(len(distances)), key=lambda i: -distances[i])
-    slack = tol * (1.0 + (max(gaps) if gaps else 0.0))
-    monotone = all(
-        gaps[order[i]] + slack >= gaps[order[i + 1]] for i in range(len(order) - 1)
-    )
     return ClosureReport(
         distances=[float(v) for v in distances],
         gaps=[float(v) for v in gaps],
         bounds=[float(v) for v in bounds],
         gaps_within_bound=within,
-        gaps_monotone=monotone,
         max_gap=float(max(gaps)) if gaps else 0.0,
     )

@@ -148,16 +148,6 @@ class BaselineEnsemble:
         return self.values.reshape(self.space.m, self.d * self.p)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of checking a realized baseline against its spec."""
-
-    second_moment_error: float
-    cross_moment_norm: float
-    tol: float
-    passed: bool
-
-
 def _raw_second_moment(weights: NDArray, flat: NDArray) -> NDArray:
     mat = (flat * weights[:, None]).T @ flat
     # symmetrize away matmul round-off so downstream PSD checks are clean
@@ -204,32 +194,6 @@ def ensemble_distance(
     diff = a.flat_values - b.flat_values
     sq = np.einsum("j,jk,jk->", a.space.weights, diff, diff)
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def validate_baseline(
-    a: SourceEnsemble,
-    x: BaselineEnsemble,
-    spec: BaselineSpec,
-    tol: float = 1e-10,
-) -> ValidationReport:
-    """Check that x realizes spec and is uncorrelated with a.
-
-    Reports the Frobenius gap between the realized second moment and
-    sigma_xi (relative to its scale) and the Frobenius norm of the
-    cross moment. Passing means both sit within tol.
-    """
-    sm_err = float(
-        np.linalg.norm(second_moment(x).matrix - spec.sigma_xi, ord="fro")
-    )
-    cm_norm = float(np.linalg.norm(cross_moment(a, x), ord="fro"))
-    scale = 1.0 + float(np.linalg.norm(spec.sigma_xi, ord="fro"))
-    passed = sm_err <= tol * scale and cm_norm <= tol * scale
-    return ValidationReport(
-        second_moment_error=sm_err,
-        cross_moment_norm=cm_norm,
-        tol=tol,
-        passed=passed,
-    )
 
 
 ENSEMBLE_CSV_HEADER = ["atom", "weight", "component", "coeff_index", "value"]

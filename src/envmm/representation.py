@@ -94,27 +94,6 @@ class ObservedEnsemble:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedRepresentation:
-    """Joint truncated map: stacked (2*n_out) x (d*n_in) matrix.
-
-    Rows 0..n_out-1 are the leading target rows, rows n_out..2*n_out-1
-    the leading input rows, both restricted to the first n_in
-    coefficients of every component.
-    """
-
-    n_in: int
-    n_out: int
-    matrix: NDArray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.flags.writeable = False
-        if mat.shape[0] != 2 * self.n_out:
-            raise ShapeMismatch("stacked matrix must have 2*n_out rows")
-        object.__setattr__(self, "matrix", mat)
-
-
 def _combined_values(
     a: SourceEnsemble, xi: BaselineEnsemble | None
 ) -> NDArray:
@@ -146,74 +125,34 @@ def apply(
     )
 
 
-def observed_second_moments(
-    obs: ObservedEnsemble,
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Raw weighted moments (Kyy, Kyx, Kxx) of the observed pair."""
-    w = obs.space.weights
-    kyy = (obs.y * w[:, None]).T @ obs.y
-    kyx = (obs.y * w[:, None]).T @ obs.x
-    kxx = (obs.x * w[:, None]).T @ obs.x
-    return 0.5 * (kyy + kyy.T), kyx, 0.5 * (kxx + kxx.T)
-
-
-def _input_columns(d: int, p: int, n_in: int) -> NDArray:
-    return np.concatenate([np.arange(i * p, i * p + n_in) for i in range(d)])
-
-
-def truncate(
-    rep: RepresentationOperator, n_in: int, n_out: int
-) -> TruncatedRepresentation:
-    """Restrict both maps to leading coefficients and stack them.
-
-    n_in cuts the input side (per component), n_out cuts both output
-    sides, so it must not exceed min(p_out, q).
-    """
-    if not 1 <= n_in <= rep.p:
-        raise BadTruncation(f"n_in {n_in} outside 1..{rep.p}")
-    if not 1 <= n_out <= min(rep.p_out, rep.q):
-        raise BadTruncation(
-            f"n_out {n_out} outside 1..{min(rep.p_out, rep.q)}"
-        )
-    cols = _input_columns(rep.d, rep.p, n_in)
-    stacked = np.vstack(
-        [rep.target_map[:n_out][:, cols], rep.input_map[:n_out][:, cols]]
-    )
-    return TruncatedRepresentation(n_in=n_in, n_out=n_out, matrix=stacked)
-
-
-def project_coefficients(values: NDArray, n_in: int) -> NDArray:
-    """Zero every coefficient of index >= n_in in each component."""
-    out = values.copy()
-    out[..., n_in:] = 0.0
-    return out
-
-
 def truncation_residual(
     rep: RepresentationOperator,
-    trunc: TruncatedRepresentation,
     a: SourceEnsemble,
+    n_in: int,
+    n_out: int,
     xi: BaselineEnsemble | None = None,
 ) -> tuple[NDArray, float]:
     """Observation error committed by truncating the input.
 
-    For each atom, compares the leading n_out observed coefficients of
-    the full source against those of the source with trailing input
-    coefficients dropped. Returns per-atom residual norms and the
-    weighted aggregate sum_j w_j ||delta_j||^2. Zero whenever every atom
-    is supported on the first n_in coefficients; in particular exactly
-    zero at n_in = p.
+    n_in cuts the input side (per component), n_out cuts both output
+    sides, so it must not exceed min(p_out, q). For each atom, the
+    leading n_out rows of both maps act on the dropped tail: the source
+    with its first n_in coefficients of every component zeroed. Returns
+    per-atom residual norms and the weighted aggregate
+    sum_j w_j ||delta_j||^2. Zero whenever every atom is supported on the
+    first n_in coefficients; in particular exactly zero at n_in = p.
     """
+    if not 1 <= n_in <= rep.p:
+        raise BadTruncation(f"n_in {n_in} outside 1..{rep.p}")
+    if not 1 <= n_out <= min(rep.p_out, rep.q):
+        raise BadTruncation(f"n_out {n_out} outside 1..{min(rep.p_out, rep.q)}")
     if (a.d, a.p) != (rep.d, rep.p):
         raise ShapeMismatch("ensemble blocks do not match the operator")
-    full = _combined_values(a, xi)
-    projected = project_coefficients(full, trunc.n_in)
-    n_out = trunc.n_out
-    m = a.space.m
-    flat_full = full.reshape(m, rep.d * rep.p)
-    flat_proj = projected.reshape(m, rep.d * rep.p)
-    dy = (flat_full - flat_proj) @ rep.target_map[:n_out].T
-    dx = (flat_full - flat_proj) @ rep.input_map[:n_out].T
+    tail = _combined_values(a, xi).copy()
+    tail[..., :n_in] = 0.0
+    tail = tail.reshape(a.space.m, rep.d * rep.p)
+    dy = tail @ rep.target_map[:n_out].T
+    dx = tail @ rep.input_map[:n_out].T
     per_atom = np.sqrt(np.einsum("jk,jk->j", dy, dy) + np.einsum("jk,jk->j", dx, dx))
     aggregate = float(np.einsum("j,j->", a.space.weights, per_atom**2))
     return per_atom, aggregate

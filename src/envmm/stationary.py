@@ -35,7 +35,7 @@ class CovarianceSequence:
     Stored as an array of shape (2L+1, d, d); index tau + L holds lag
     tau. Construct from the nonnegative half via from_nonneg_lags: the
     negative half is filled in by transposition, never trusted from the
-    caller.
+    caller. Symmetry is checked to SYM_RTOL * max|K|.
     """
 
     lags: NDArray
@@ -46,7 +46,7 @@ class CovarianceSequence:
         if k.ndim != 3 or k.shape[1] != k.shape[2] or k.shape[0] % 2 != 1:
             raise ShapeMismatch("lags must have shape (2L+1, d, d)")
         ell = k.shape[0] // 2
-        scale = max(1.0, float(np.abs(k).max()))
+        scale = float(np.abs(k).max())
         for tau in range(ell + 1):
             if float(np.abs(k[ell + tau] - k[ell - tau].T).max()) > SYM_RTOL * scale:
                 raise ValueError(f"lag {tau} breaks K[-tau] = K[tau]^T")
@@ -59,7 +59,7 @@ class CovarianceSequence:
             raise ShapeMismatch("nonneg lags must have shape (L+1, d, d)")
         ell = nonneg.shape[0] - 1
         d = nonneg.shape[1]
-        scale = max(1.0, float(np.abs(nonneg).max()))
+        scale = float(np.abs(nonneg).max())
         if float(np.abs(nonneg[0] - nonneg[0].T).max()) > SYM_RTOL * scale:
             raise ValueError("lag 0 must be symmetric")
         full = np.empty((2 * ell + 1, d, d))
@@ -261,7 +261,7 @@ def wiener_symbol(
 ) -> WienerSymbol:
     """Frequency-wise ratio syx / sxx with the zero-fill convention.
 
-    sxx must be real and nonnegative within PSD_TOL of its scale. A
+    sxx must be real and nonnegative within PSD_TOL * max|sxx|. A
     frequency is flagged when covariance.retained drops its sxx, i.e. at
     or below rank_tol times the largest sxx; the symbol is zero there,
     mirroring the minimal-norm solve.
@@ -270,7 +270,7 @@ def wiener_symbol(
     sxx = np.asarray(sxx, dtype=complex)
     if syx.shape != sxx.shape or syx.ndim != 1:
         raise ShapeMismatch("blocks must be equal-length 1-d arrays")
-    scale = max(1.0, float(np.abs(sxx).max()))
+    scale = float(np.abs(sxx).max())
     if float(np.abs(sxx.imag).max()) > PSD_TOL * scale:
         raise ValueError("sxx must be real within tolerance")
     real = sxx.real

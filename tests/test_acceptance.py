@@ -284,7 +284,7 @@ def test_08_truncation_errors_shrink_and_vanish():
         rep = coefficient_diagonal_representation(rng, d, p)
         n_out = min(rep.p_out, rep.q)
         aggs = [
-            E.truncation_residual(rep, E.truncate(rep, n, n_out), a)[1]
+            E.truncation_residual(rep, a, n, n_out)[1]
             for n in range(1, p + 1)
         ]
         slack = 1e-12 * (1.0 + aggs[0])

@@ -209,6 +209,21 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_filter", "n_freq", 1e308),
         # a block layout (d, p) = (1, 4) against the source's (2, 2)
         ("envelope_check", "candidate", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0, 0.0]]]}),
+        # JSON true is not a count
+        ("verify_extremal", "n_samples", True),
+        ("elliptic_demo", "n_atoms", True),
+        # tolerances are finite and nonnegative
+        ("envelope_check", "tol", -1),
+        ("envelope_check", "tol", float("nan")),
+        ("verify_extremal", "tol", -1),
+        ("verify_extremal", "tol", float("nan")),
+        ("wss_envelope", "tol", float("inf")),
+        ("elliptic_demo", "tol", -1),
+        ("minimize", "rank_tol", -1),
+        ("wss_filter", "rank_tol", -1),
+        # a grid needs at least one frequency
+        ("wss_filter", "n_freq", -1),
+        ("wss_envelope", "n_freq", 0),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

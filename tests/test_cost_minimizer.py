@@ -73,7 +73,10 @@ def test_assemble_matches_observed_moments():
     a = random_ensemble(rng, m=6, d=2, p=3)
     rep = random_representation(rng, 2, 3)
     obs = E.apply(rep, a)
-    kyy, kyx, kxx = E.observed_second_moments(obs)
+    w = obs.space.weights
+    kyy = sum(wj * np.outer(yj, yj) for wj, yj in zip(w, obs.y))
+    kyx = sum(wj * np.outer(yj, xj) for wj, yj, xj in zip(w, obs.y, obs.x))
+    kxx = sum(wj * np.outer(xj, xj) for wj, xj in zip(w, obs.x))
     sys = E.assemble_normal_equations(obs)
     np.testing.assert_allclose(sys.gram, kxx, atol=1e-12)
     np.testing.assert_allclose(sys.cross, kyx, atol=1e-12)

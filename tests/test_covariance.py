@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import envmm as E
 from helpers import contracted_ensemble, random_ensemble, random_psd
@@ -72,61 +70,6 @@ def test_construction_rejects_indefinite():
 def test_dimension_consistency():
     with pytest.raises(E.ShapeMismatch):
         _cov(np.eye(3), 1, 2)
-
-
-def test_quadratic_form_euclidean():
-    cov = _cov(np.eye(2), 1, 2)
-    assert E.quadratic_form(cov, np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31))
-def test_quadratic_form_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    cov = _cov(random_psd(rng, n), 1, n)
-    g = rng.standard_normal(n)
-    assert E.quadratic_form(cov, g) >= -1e-10 * max(1.0, abs(cov.matrix).max())
-
-
-def test_compress_level_one():
-    cov = _cov([[1.0, 2.0], [2.0, 4.0]], 1, 2)
-    out = E.compress(cov, 1)
-    np.testing.assert_array_equal(out.matrix, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_compress_full_level_is_identity():
-    rng = np.random.default_rng(11)
-    cov = _cov(random_psd(rng, 6), 2, 3)
-    np.testing.assert_array_equal(E.compress(cov, 3).matrix, cov.matrix)
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), level=st.integers(1, 4))
-def test_compress_idempotent(seed, level):
-    rng = np.random.default_rng(seed)
-    cov = _cov(random_psd(rng, 8), 2, 4)
-    once = E.compress(cov, level)
-    twice = E.compress(once, level)
-    np.testing.assert_array_equal(once.matrix, twice.matrix)
-
-
-def test_compress_preserves_supported_quadratic_forms():
-    rng = np.random.default_rng(17)
-    cov = _cov(random_psd(rng, 6), 2, 3)
-    level = 2
-    g = rng.standard_normal(6)
-    g[2::3] = 0.0  # zero the coefficients the compression drops
-    out = E.compress(cov, level)
-    assert E.quadratic_form(out, g) == pytest.approx(E.quadratic_form(cov, g))
-
-
-def test_compress_level_bounds():
-    cov = _cov(np.eye(2), 1, 2)
-    with pytest.raises(E.BadTruncation):
-        E.compress(cov, 0)
-    with pytest.raises(E.BadTruncation):
-        E.compress(cov, 3)
 
 
 def test_push_forward_identity():

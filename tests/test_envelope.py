@@ -245,7 +245,6 @@ def test_closure_regression_linear_path():
     ]
     report = E.closure_regression(a, approx, rep, spec, est)
     assert report.gaps_within_bound
-    assert report.gaps_monotone
     assert report.gaps[-1] < report.gaps[0]
     assert report.distances[0] == pytest.approx(E.ensemble_norm(a))
 

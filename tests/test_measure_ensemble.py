@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
-from helpers import random_baseline_spec, random_ensemble, random_space
+from helpers import random_ensemble, random_space
 
 
 def test_single_atom_outer_product():
@@ -136,19 +136,6 @@ def test_baseline_spec_rejects_indefinite():
 def test_baseline_spec_accepts_zero():
     spec = E.BaselineSpec(sigma_xi=np.zeros((3, 3)))
     assert spec.dim == 3
-
-
-def test_validate_baseline_flags_wrong_scale():
-    rng = np.random.default_rng(5)
-    a = random_ensemble(rng, m=4, d=1, p=3)
-    spec = random_baseline_spec(rng, 3)
-    lifted, xi = E.fit_baseline(a, spec, seed=1)
-    good = E.validate_baseline(lifted, xi, spec)
-    assert good.passed
-    doubled = E.BaselineEnsemble(space=xi.space, values=2.0 * xi.values, spec=spec)
-    bad = E.validate_baseline(lifted, doubled, spec)
-    assert not bad.passed
-    assert bad.second_moment_error > 1e-3
 
 
 @settings(deadline=None, max_examples=25)

@@ -58,14 +58,13 @@ def test_observed_moments_match_push_forward():
     rng = np.random.default_rng(5)
     a = random_ensemble(rng, m=5, d=2, p=2)
     rep = random_representation(rng, 2, 2)
-    obs = E.apply(rep, a)
-    kyy, kyx, kxx = E.observed_second_moments(obs)
+    system = E.assemble_normal_equations(E.apply(rep, a))
     stacked = np.vstack([rep.target_map, rep.input_map])
     joint = E.push_forward(stacked, E.second_moment(a)).matrix
     r = rep.p_out
-    np.testing.assert_allclose(joint[:r, :r], kyy, atol=1e-12)
-    np.testing.assert_allclose(joint[:r, r:], kyx, atol=1e-12)
-    np.testing.assert_allclose(joint[r:, r:], kxx, atol=1e-12)
+    assert system.target_energy == pytest.approx(np.trace(joint[:r, :r]), rel=1e-12)
+    np.testing.assert_allclose(joint[:r, r:], system.cross, atol=1e-12)
+    np.testing.assert_allclose(joint[r:, r:], system.gram, atol=1e-12)
 
 
 def test_norm_bound_dominates_factors():
@@ -81,39 +80,47 @@ def test_norm_bound_dominates_factors():
 
 def test_truncate_shapes_and_bounds():
     rng = np.random.default_rng(7)
+    a = random_ensemble(rng, m=5, d=2, p=4)
     rep = random_representation(rng, 2, 4, p_out=3, q=5)
-    trunc = E.truncate(rep, n_in=2, n_out=3)
-    assert trunc.matrix.shape == (6, 4)
-    with pytest.raises(E.BadTruncation):
-        E.truncate(rep, n_in=0, n_out=1)
-    with pytest.raises(E.BadTruncation):
-        E.truncate(rep, n_in=5, n_out=1)
-    with pytest.raises(E.BadTruncation):
-        E.truncate(rep, n_in=1, n_out=4)
+    per_atom, _ = E.truncation_residual(rep, a, n_in=2, n_out=3)
+    assert per_atom.shape == (5,)
+    for n_in, n_out in ((0, 1), (5, 1), (1, 0), (1, 4)):
+        with pytest.raises(E.BadTruncation):
+            E.truncation_residual(rep, a, n_in=n_in, n_out=n_out)
 
 
 def test_truncate_full_levels_reproduce_maps():
+    # at full output levels the residual is both maps acting on the tail
+    # of coefficients n_in.. of every component
     rng = np.random.default_rng(8)
-    rep = random_representation(rng, 1, 3, p_out=3, q=3)
-    trunc = E.truncate(rep, n_in=3, n_out=3)
-    np.testing.assert_array_equal(trunc.matrix[:3], rep.target_map)
-    np.testing.assert_array_equal(trunc.matrix[3:], rep.input_map)
+    a = random_ensemble(rng, m=4, d=2, p=3)
+    rep = random_representation(rng, 2, 3, p_out=3, q=3)
+    for n_in in range(1, 4):
+        tail = a.values.copy()
+        tail[..., :n_in] = 0.0
+        obs = E.apply(rep, E.SourceEnsemble(space=a.space, values=tail))
+        per_atom, aggregate = E.truncation_residual(rep, a, n_in=n_in, n_out=3)
+        expected = np.sqrt((obs.y**2).sum(axis=1) + (obs.x**2).sum(axis=1))
+        np.testing.assert_allclose(per_atom, expected, rtol=1e-12)
+        assert aggregate == pytest.approx(a.space.weights @ expected**2, rel=1e-12)
 
 
 def test_project_coefficients_exact_zeros():
+    # identity maps observe the dropped tail itself: exact ones past n_in,
+    # exact zeros before it, so the residual is exact too
     values = np.ones((2, 2, 4))
-    out = E.project_coefficients(values, 2)
-    assert (out[..., 2:] == 0.0).all()
-    assert (out[..., :2] == 1.0).all()
-    np.testing.assert_array_equal(E.project_coefficients(values, 4), values)
+    a = E.SourceEnsemble(space=E.MeasureSpace(weights=np.ones(2)), values=values)
+    for n_in in range(1, 5):
+        per_atom, aggregate = E.truncation_residual(_identity_rep(2, 4), a, n_in, 8)
+        np.testing.assert_array_equal(per_atom, np.sqrt(4.0 * (4 - n_in)))
+        assert aggregate == pytest.approx(8.0 * (4 - n_in), rel=1e-15)
 
 
 def test_truncation_residual_zero_at_full_level():
     rng = np.random.default_rng(9)
     a = random_ensemble(rng, m=4, d=2, p=3)
     rep = random_representation(rng, 2, 3, p_out=4, q=4)
-    trunc = E.truncate(rep, n_in=3, n_out=4)
-    per_atom, aggregate = E.truncation_residual(rep, trunc, a)
+    per_atom, aggregate = E.truncation_residual(rep, a, n_in=3, n_out=4)
     assert aggregate == 0.0
     assert not per_atom.any()
 
@@ -121,12 +128,11 @@ def test_truncation_residual_zero_at_full_level():
 def test_truncation_residual_zero_on_supported_ensemble():
     rng = np.random.default_rng(10)
     a = random_ensemble(rng, m=4, d=2, p=4)
-    supported = E.SourceEnsemble(
-        space=a.space, values=E.project_coefficients(a.values, 2)
-    )
+    values = a.values.copy()
+    values[..., 2:] = 0.0
+    supported = E.SourceEnsemble(space=a.space, values=values)
     rep = random_representation(rng, 2, 4, p_out=3, q=3)
-    trunc = E.truncate(rep, n_in=2, n_out=3)
-    _, aggregate = E.truncation_residual(rep, trunc, supported)
+    _, aggregate = E.truncation_residual(rep, supported, n_in=2, n_out=3)
     assert aggregate == 0.0
 
 
@@ -140,7 +146,7 @@ def test_truncation_residual_monotone_for_coefficient_diagonal_maps():
         rep = coefficient_diagonal_representation(rng, d, p)
         n_out = min(rep.p_out, rep.q)
         aggs = [
-            E.truncation_residual(rep, E.truncate(rep, n, n_out), a)[1]
+            E.truncation_residual(rep, a, n, n_out)[1]
             for n in range(1, p + 1)
         ]
         for lo, hi in zip(aggs[1:], aggs[:-1]):

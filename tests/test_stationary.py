@@ -37,6 +37,34 @@ def test_sequence_rejects_inconsistent_pair():
         E.CovarianceSequence(lags=lags)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    rel_gap=st.sampled_from([1e-9, 1e-14]),
+    through_nonneg=st.booleans(),
+)
+def test_sequence_symmetry_verdict_is_scale_free(seed, k, rel_gap, through_nonneg):
+    # one entry of lag 0 (through from_nonneg_lags) or of lag -1 (the full
+    # constructor) breaks K[-tau] = K[tau]^T by rel_gap * max|K|
+    rng = np.random.default_rng(seed)
+    nonneg = rng.standard_normal((2, 2, 2))
+    nonneg[0] = nonneg[0] @ nonneg[0].T
+    full = np.array([nonneg[1].T, nonneg[0], nonneg[1]])
+    lags = nonneg if through_nonneg else full
+    lags[0, 0, 1] += rel_gap * np.abs(lags).max()
+    build = (
+        E.CovarianceSequence.from_nonneg_lags
+        if through_nonneg
+        else lambda lags: E.CovarianceSequence(lags=lags)
+    )
+    if rel_gap == 1e-9:
+        with pytest.raises(ValueError):
+            build(10.0**k * lags)
+    else:
+        build(10.0**k * lags)
+
+
 def test_spectral_density_cosine_formula():
     seq = E.CovarianceSequence.from_nonneg_lags(
         np.array([[[2.0]], [[1.0]]])
@@ -152,6 +180,29 @@ def test_wiener_symbol_input_validation():
         E.wiener_symbol(np.ones(3), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         E.wiener_symbol(np.ones(3), np.array([1.0, 1.0j, 1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    rel_gap=st.sampled_from([1e-8, 1e-12]),
+    part=st.sampled_from(["real", "imag"]),
+)
+def test_wiener_symbol_validation_is_scale_free(seed, k, rel_gap, part):
+    # one sxx bin dips below zero (or off the real axis) by
+    # rel_gap * max|sxx|; the verdict must read the same at every scale
+    rng = np.random.default_rng(seed)
+    sxx = rng.uniform(0.1, 1.0, size=8).astype(complex)
+    bad = int(rng.integers(8))
+    gap = rel_gap * np.abs(sxx).max()
+    sxx[bad] = -gap if part == "real" else sxx[bad] + 1j * gap
+    syx = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    if rel_gap == 1e-8:
+        with pytest.raises(ValueError):
+            E.wiener_symbol(10.0**k * syx, 10.0**k * sxx)
+    else:
+        E.wiener_symbol(10.0**k * syx, 10.0**k * sxx)
 
 
 def test_circulant_matrix_entries():
