@@ -90,14 +90,17 @@ def _check_budget(field: str, elements: int) -> None:
 def _float(params: dict, field: str, default=None) -> float:
     raw = params.get(field, default)
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"field '{field}' must be a number; got {raw!r}") from exc
+    if not np.isfinite(value):
+        raise BadConfig(f"field '{field}' must be a finite number; got {raw!r}")
+    return value
 
 
 def _tol(params: dict, field: str, default: float) -> float:
     value = _float(params, field, default)
-    if not 0.0 <= value < float("inf"):
+    if value < 0.0:
         raise BadConfig(f"field '{field}' must be a finite number >= 0; got {value!r}")
     return value
 
@@ -107,9 +110,12 @@ def _floats(params: dict, field: str) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raise BadConfig(f"field '{field}' must be a list of numbers; got {raw!r}")
     try:
-        return tuple(float(v) for v in raw)
+        values = tuple(float(v) for v in raw)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"field '{field}' must be a list of numbers") from exc
+    if not np.isfinite(values).all():
+        raise BadConfig(f"field '{field}' must be a list of finite numbers; got {raw!r}")
+    return values
 
 
 def _load_ensemble(obj, base_dir: Path, field: str) -> me.SourceEnsemble:
@@ -134,17 +140,15 @@ def _load_array(obj, field: str, ndim: int) -> np.ndarray:
         raise BadConfig(f"field '{field}' must be a numeric array") from exc
     if arr.ndim != ndim:
         raise BadConfig(f"field '{field}' must be {ndim}-dimensional")
+    if not np.isfinite(arr).all():
+        raise BadConfig(f"field '{field}' must hold finite numbers")
     return arr
 
 
 def _load_sequence(obj, field: str) -> st.CovarianceSequence:
-    try:
-        lags = np.asarray(obj["lags"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must give nonnegative lags") from exc
-    if lags.ndim != 3:
-        raise BadConfig(f"field '{field}' lags must be nested (L+1, d, d)")
-    return st.CovarianceSequence.from_nonneg_lags(lags)
+    if not isinstance(obj, dict) or "lags" not in obj:
+        raise BadConfig(f"field '{field}' must give nonnegative lags")
+    return st.CovarianceSequence.from_nonneg_lags(_load_array(obj["lags"], field, 3))
 
 
 def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
@@ -230,8 +234,11 @@ def _run_verify_extremal(params: dict, base_dir: Path):
     rep = _representation(params, source.d, source.p)
     n_operators = _int(params, "n_operators", minimum=1)
     n_samples = _int(params, "n_samples", minimum=0)
-    _check_budget("n_samples", (n_samples + 1) * (source.d * source.p) ** 2)
-    _check_budget("n_operators", n_operators * rep.p_out * rep.q)
+    dim = source.d * source.p
+    # the residual-map stack W, then the sample diagonals and the cost table
+    _check_budget("n_operators", n_operators * rep.p_out * max(rep.q, dim))
+    _check_budget("n_samples", (n_samples + 1) * dim)
+    _check_budget("n_samples", n_operators * (n_samples + 1))
     spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
     seed = _int(params, "seed", minimum=0)
     tol = _tol(params, "tol", 1e-9)

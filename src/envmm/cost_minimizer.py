@@ -178,12 +178,12 @@ def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
 def solve_coercive(sys: NormalEquationSystem, c_min: float) -> HSOperator:
     """Unique minimizer under a uniform spectral lower bound.
 
-    Requires lambda_min(gram) >= c_min > 0, otherwise NotCoercive with
-    the observed bottom eigenvalue. The solution satisfies the a-priori
-    bound hs_norm <= ||cross||_F / c_min.
+    Requires a finite c_min > 0 (else ValueError) and lambda_min(gram) >=
+    c_min, otherwise NotCoercive with the observed bottom eigenvalue. The
+    solution satisfies the a-priori bound hs_norm <= ||cross||_F / c_min.
     """
-    if c_min <= 0:
-        raise ValueError("c_min must be positive")
+    if not 0 < c_min < np.inf:
+        raise ValueError(f"c_min must be positive and finite; got {c_min!r}")
     evals, evecs = sys.eigh
     if float(evals[0]) < c_min:
         raise NotCoercive(

@@ -24,23 +24,23 @@ DEFAULT_RANK_RTOL = 1e-12
 
 
 def check_symmetric_psd(mat: NDArray) -> None:
-    """Symmetry and PSD rule for covariance matrices, on one matrix or a stack.
+    """Symmetry and PSD rule for one covariance matrix.
 
-    Each matrix must be symmetric to SYM_RTOL relative to max(1, max|entry|)
-    and have no eigenvalue below -PSD_TOL * max(1, lambda_max). A stack
-    (..., n, n) is checked with one batched eigensolve. Violations raise
-    DegenerateSpec.
+    The matrix must be finite, symmetric to SYM_RTOL relative to
+    max|entry|, and have no eigenvalue below -PSD_TOL * lambda_max. Both
+    scales are floored at the smallest normal float, as in `retained`, so
+    the zero matrix passes and rescaling never changes the verdict.
+    Violations raise DegenerateSpec.
     """
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    asym = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
-    if np.any(asym > SYM_RTOL * scale):
+    if not np.isfinite(mat).all():
+        raise DegenerateSpec("covariance matrix must be finite")
+    tiny = np.finfo(float).tiny
+    if np.abs(mat - mat.T).max() > SYM_RTOL * max(np.abs(mat).max(), tiny):
         raise DegenerateSpec("covariance matrix must be symmetric")
     evals = np.linalg.eigvalsh(mat)
-    bottom = evals[..., 0]
-    below = bottom < -PSD_TOL * np.maximum(1.0, evals[..., -1])
-    if np.any(below):
+    if evals[0] < -PSD_TOL * max(evals[-1], tiny):
         raise DegenerateSpec(
-            f"covariance has eigenvalue {bottom[below].min():.3e} below the PSD tolerance"
+            f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
         )
 
 

@@ -21,7 +21,7 @@ from .cost_minimizer import (
     cost_difference_bound,
     residual_map,
 )
-from .covariance import check_symmetric_psd, loewner_dominates, retained
+from .covariance import loewner_dominates, retained
 from .errors import ShapeMismatch
 from .measure_ensemble import (
     BaselineEnsemble,
@@ -89,12 +89,12 @@ def is_member(
 
 def _contractions(
     sigma: NDArray, seed: int, n_samples: int, shrink_floor: float
-) -> NDArray:
-    """Stack (n_samples, dim, dim) of contractions K_s = U D_s U^T.
+) -> tuple[NDArray, NDArray]:
+    """Eigenvectors U of sigma = U diag(L) U^T and the diagonals D_s.
 
-    sigma = U L U^T is the reference second moment and each diagonal D_s
-    is uniform in [shrink_floor, 1], one generator call per sample in
-    sample order, so a seed picks the same samples for every caller.
+    Sample s is the contraction K_s = U diag(D_s) U^T; D_s is uniform in
+    [shrink_floor, 1], one generator call per sample in sample order, so a
+    seed picks the same samples for every caller. diags is (n_samples, dim).
     """
     if not 0.0 <= shrink_floor <= 1.0:
         raise ValueError("shrink_floor must lie in [0, 1]")
@@ -106,7 +106,7 @@ def _contractions(
     diags = np.array(
         [rng.uniform(shrink_floor, 1.0, size=dim) for _ in range(n_samples)]
     ).reshape(n_samples, dim)
-    return (evecs[None, :, :] * diags[:, None, :]) @ evecs.T
+    return evecs, diags
 
 
 def sample_dominated(
@@ -122,9 +122,10 @@ def sample_dominated(
     every atom, giving the exact second moment U D^2 L U^T <= U L U^T.
     Drawing D = I would reproduce the reference ensemble itself.
     """
-    contractions = _contractions(
+    evecs, diags = _contractions(
         second_moment(reference).matrix, seed, n_samples, shrink_floor
     )
+    contractions = (evecs[None, :, :] * diags[:, None, :]) @ evecs.T
     flat = reference.flat_values
     shape = reference.values.shape
     return [
@@ -215,31 +216,37 @@ def verify_extremal(
 
     Sample 0 is the reference ensemble itself (the identity contraction),
     which must attain the supremum exactly; the rest are the samples of
-    sample_dominated for the same seed. The cost depends on a sample only
-    through its second moment, which is exactly K Sigma_A K^T for its
-    contraction K, so the samples are never realized atom by atom. With
-    W = target_map - T input_map, estimator T scores sample s as
-    <S_s, W^T W>_F + <sigma_xi, W^T W>_F, all pairs in one product. When
-    several estimators are given the report carries the worst one:
-    membership requires every estimator's violation to stay within
-    tol * (1 + its reference cost).
+    sample_dominated for the same seed. A cost depends on a sample only
+    through its second moment, and every contraction K_s = U diag(D_s) U^T
+    is diagonal in the eigenbasis U of Sigma_A, so no sample matrix is
+    formed. With L = diag(U^T Sigma_A U), the eigenvalues read off Sigma_A
+    itself, sample s has the moment U diag(D_s^2 L) U^T and its domination
+    gap Sigma_A - S_s has the eigenvalues L (1 - D_s^2). With W =
+    target_map - T input_map and c_i = ||W U e_i||^2, estimator T scores
+    sample s as sum_i D_si^2 L_i c_i + <sigma_xi, W^T W>_F; sample 0 takes
+    D = 1. The sample moments need no PSD check of their own: each
+    spectrum D_s^2 L lies entrywise between min(L, 0) and L, and each L_i
+    is a Rayleigh quotient of Sigma_A, so no sample eigenvalue sits below
+    the bottom of Sigma_A, which BlockCovariance has already held to the
+    PSD rule. When several estimators are given the report carries the
+    worst one: membership requires every estimator's violation to stay
+    within tol * (1 + its reference cost).
     """
     if not estimators:
         raise ValueError("at least one estimator is required")
     if a.d * a.p != rep.d * rep.p:
         raise ShapeMismatch("ensemble dimension does not match the operator")
     sigma = second_moment(a).matrix
-    k = _contractions(sigma, seed, n_samples, shrink_floor)
-    shrunk = k @ sigma @ np.swapaxes(k, 1, 2)
-    shrunk = 0.5 * (shrunk + np.swapaxes(shrunk, 1, 2))
-    check_symmetric_psd(shrunk)
-    margins = np.linalg.eigvalsh(sigma - shrunk)[:, 0]
-    lambda_min_margin = float(margins.min()) if n_samples else 0.0
+    evecs, diags = _contractions(sigma, seed, n_samples, shrink_floor)
+    evals = ((sigma @ evecs) * evecs).sum(axis=0)
+    squares = np.concatenate([np.ones((1, evals.size)), diags**2])
+    gaps = evals * (1.0 - squares[1:])
+    lambda_min_margin = float(gaps.min()) if n_samples else 0.0
 
-    moments = np.concatenate([sigma[None], shrunk]).reshape(n_samples + 1, -1)
     w = np.stack([residual_map(spec, rep, est) for est in estimators])
-    wtw = np.einsum("eik,eil->ekl", w, w).reshape(len(estimators), -1)
-    costs = wtw @ moments.T + (wtw @ spec.sigma_xi.reshape(-1))[:, None]
+    weights = ((w @ evecs) ** 2).sum(axis=1) * evals
+    baseline = ((w @ spec.sigma_xi) * w).sum(axis=(1, 2))
+    costs = weights @ squares.T + baseline[:, None]
     refs = costs[:, 0]
     violations = (costs - refs[:, None]).max(axis=1)
     worst = int(np.argmax(violations))

@@ -157,6 +157,43 @@ def test_wss_envelope_factorizes_the_gap_stack_once(tmp_path, monkeypatch):
     assert counts == {"eigh": 0, "eigvalsh": 1}
 
 
+def test_verify_extremal_factorizes_the_reference_once(tmp_path, monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    code, report, _ = _run("verify_extremal", tmp_path)
+    assert code == 0 and report["member"]
+    # the PSD checks of Sigma_A and sigma_xi, then the eigenbasis every
+    # sample is scored in
+    assert counts == {"eigh": 1, "eigvalsh": 2}
+
+
+@pytest.mark.parametrize(
+    "n_operators, budget, field",
+    [
+        (10, 179, "n_operators"),  # the residual-map stack, 10 * 3 * max(2, 6)
+        (10, 209, "n_samples"),  # the cost table, 10 * (20 + 1)
+        (10, 210, None),
+        (1, 125, "n_samples"),  # the sample diagonals, (20 + 1) * 6
+        (1, 126, None),
+    ],
+)
+def test_verify_extremal_budget_bounds_every_array(
+    n_operators, budget, field, tmp_path, monkeypatch, capsys
+):
+    # the bundled config has dim 6, a 3x6 target map, a 2x6 input map and
+    # 20 samples; each budget sits one element below or at an array's size
+    config = json.loads((CONFIG_DIR / "verify_extremal.json").read_text())
+    config["n_operators"] = n_operators
+    cfg = tmp_path / "sized.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "ELEMENT_BUDGET", budget)
+    code = cli.run(cfg, out_dir=tmp_path / "o")
+    if field is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"field '{field}' is too large" in capsys.readouterr().err
+
+
 def test_import_leaves_numpy_fft_unloaded():
     # the FFT users look np.fft up at call time, so startup stays as cheap
     # as the kinds that never transform
@@ -224,6 +261,22 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         # a grid needs at least one frequency
         ("wss_filter", "n_freq", -1),
         ("wss_envelope", "n_freq", 0),
+        # every number a config gives is finite
+        ("elliptic_demo", "potential", float("inf")),
+        ("elliptic_demo", "potential", float("nan")),
+        ("elliptic_demo", "bump_width", float("inf")),
+        ("elliptic_demo", "alphas", [1.0, float("nan")]),
+        ("elliptic_demo", "ell", [float("-inf")]),
+        ("minimize", "mixing_norm", float("nan")),
+        ("minimize", "c_min", float("nan")),
+        ("minimize", "c_min", float("inf")),
+        ("verify_extremal", "shrink_floor", float("nan")),
+        ("verify_extremal", "mixing_norm", float("-inf")),
+        ("verify_extremal", "sigma_xi", [[float("nan")]]),
+        ("minimize", "target_map", [[float("inf")]]),
+        ("wss_filter", "target_kernel", [float("nan"), 0.5]),
+        ("wss_filter", "seq", {"lags": [[[float("nan")]]]}),
+        ("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

@@ -93,8 +93,9 @@ def test_solve_coercive_rejects_thin_spectrum():
     sys = _system(np.diag([1.0, 1e-15]), [[1.0, 0.0]])
     with pytest.raises(E.NotCoercive):
         E.solve_coercive(sys, c_min=0.5)
-    with pytest.raises(ValueError):
-        E.solve_coercive(sys, c_min=0.0)
+    for c_min in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            E.solve_coercive(sys, c_min=c_min)
 
 
 def test_solve_coercive_apriori_bound():

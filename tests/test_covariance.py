@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envmm as E
+from envmm.covariance import PSD_TOL, SYM_RTOL
 from helpers import contracted_ensemble, random_ensemble, random_psd
 
 
@@ -47,6 +50,8 @@ def test_construction_rejects_asymmetric():
         (1e6 * np.diag([1.0, -2e-10]), False),
         (np.array([[1.0, 0.3], [0.3 + 0.5e-12, 1.0]]), True),
         (np.array([[1.0, 0.3], [0.3 + 2e-12, 1.0]]), False),
+        (np.diag([1.0, np.nan]), False),
+        (np.diag([np.inf, 1.0]), False),
     ],
 )
 def test_block_covariance_and_baseline_spec_share_one_rule(matrix, accepted):
@@ -55,6 +60,38 @@ def test_block_covariance_and_baseline_spec_share_one_rule(matrix, accepted):
         lambda: E.BaselineSpec(sigma_xi=matrix),
     ]
     for build in builders:
+        if accepted:
+            build()
+        else:
+            with pytest.raises(E.DegenerateSpec):
+                build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    defect=st.sampled_from(["psd", "sym"]),
+    accepted=st.booleans(),
+)
+def test_block_covariance_and_baseline_spec_verdicts_are_scale_free(
+    seed, k, defect, accepted
+):
+    # a bottom eigenvalue of -rel * lambda_max, or one off-diagonal entry
+    # off by rel * max|entry|, at half or twice the rule's slack; the
+    # verdict must read the same when the matrix is rescaled
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    evals = rng.uniform(0.5, 1.0, size=4)
+    factor = 0.5 if accepted else 2.0
+    if defect == "psd":
+        evals[0] = -factor * PSD_TOL * evals[1:].max()
+    mat = (q * evals) @ q.T
+    mat = 0.5 * (mat + mat.T)
+    if defect == "sym":
+        mat[0, 1] += factor * SYM_RTOL * np.abs(mat).max()
+    mat = 10.0**k * mat
+    for build in (lambda: _cov(mat, 2, 2), lambda: E.BaselineSpec(sigma_xi=mat)):
         if accepted:
             build()
         else:

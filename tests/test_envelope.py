@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
+from envmm.covariance import check_symmetric_psd
 from helpers import (
     random_baseline_spec,
     random_ensemble,
@@ -164,16 +165,19 @@ def test_verify_extremal_zero_estimator():
 
 
 def _per_sample_report(a, spec, rep, ests, seed, n_samples, tol, floor):
-    """verify_extremal by its definition: realized samples, one cost each."""
+    """verify_extremal by its definition: realized samples, one cost each.
+
+    Returns the verdict, the worst domination margin, the cost table (one
+    row per estimator, one column per sample) and each row's violation.
+    """
     samples = [a] + E.sample_dominated(a, seed, n_samples, floor)
     margins = [E.is_member(s, a, tol=tol)[1] for s in samples[1:]]
-    worst = None
-    for est in ests:
-        costs = [E.cost_decomposed(s, spec, rep, est).total for s in samples]
-        violation = max(c - costs[0] for c in costs)
-        if worst is None or violation > worst[0]:
-            worst = (violation, costs)
-    return min(margins, default=0.0), worst[1]
+    table = np.array(
+        [[E.cost_decomposed(s, spec, rep, est).total for s in samples] for est in ests]
+    )
+    violations = (table - table[:, :1]).max(axis=1)
+    member = bool(np.all(violations <= tol * (1.0 + table[:, 0])))
+    return member, min(margins, default=0.0), table, violations
 
 
 @pytest.mark.parametrize(
@@ -198,7 +202,10 @@ def test_verify_extremal_matches_per_sample_definition(m, d, p, n_ests, n_sample
     report = E.verify_extremal(
         a, spec, rep, ests, seed=seed, n_samples=n_samples, shrink_floor=floor
     )
-    margin, costs = _per_sample_report(a, spec, rep, ests, seed, n_samples, 1e-9, floor)
+    _, margin, table, violations = _per_sample_report(
+        a, spec, rep, ests, seed, n_samples, 1e-9, floor
+    )
+    costs = table[np.argmax(violations)]
     assert [i for i, _ in report.cost_samples] == list(range(n_samples + 1))
     for (_, got), want in zip(report.cost_samples, costs):
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
@@ -206,6 +213,49 @@ def test_verify_extremal_matches_per_sample_definition(m, d, p, n_ests, n_sample
     scale = float(np.abs(E.second_moment(a).matrix).max())
     assert abs(report.lambda_min_margin - margin) <= 1e-12 * (1.0 + scale)
     assert report.member
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    deficient=st.booleans(),
+    floor=st.sampled_from([0.0, 0.1, 1.0]),
+    n_samples=st.sampled_from([0, 1, 5, 12]),
+)
+def test_verify_extremal_eigenbasis_scores_match_dense_samples(
+    seed, deficient, floor, n_samples
+):
+    # random shapes; a deficient reference has fewer atoms than dimensions,
+    # so Sigma_A has a null space the contractions act on too
+    rng = np.random.default_rng(seed)
+    d, p = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    dim = d * p
+    if deficient and dim > 1:
+        m = int(rng.integers(1, dim))
+    else:
+        m = int(rng.integers(dim, dim + 5))
+    a = random_ensemble(rng, m=m, d=d, p=p)
+    spec = random_baseline_spec(rng, dim, scale=0.4)
+    rep = random_representation(rng, d, p)
+    ests = [random_estimator(rng, rep) for _ in range(int(rng.integers(1, 5)))]
+    report = E.verify_extremal(
+        a, spec, rep, ests, seed=seed, n_samples=n_samples, shrink_floor=floor
+    )
+    member, margin, table, violations = _per_sample_report(
+        a, spec, rep, ests, seed, n_samples, 1e-9, floor
+    )
+    assert report.member == member
+    # the report carries the estimator of largest violation; violations
+    # that tie at round-off (every D = 1 when floor = 1) may pick any of them
+    row = int(np.argmin(np.abs(table[:, 0] - report.cost_reference)))
+    assert violations[row] >= violations.max() - 1e-12 * np.abs(table[:, 0]).max()
+    got = np.array([c for _, c in report.cost_samples])
+    assert np.all(np.abs(got - table[row]) <= 1e-12 * np.abs(table[row]))
+    lam_max = float(np.linalg.eigvalsh(E.second_moment(a).matrix)[-1])
+    assert abs(report.lambda_min_margin - margin) <= 1e-12 * lam_max
+    # the dense rule the engine no longer runs accepts every realized moment
+    for sample in E.sample_dominated(a, seed, n_samples, floor):
+        check_symmetric_psd(E.second_moment(sample).matrix)
 
 
 def _split_first_atom(a):
