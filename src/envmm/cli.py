@@ -89,6 +89,8 @@ def _check_budget(field: str, elements: int) -> None:
 
 def _float(params: dict, field: str, default=None) -> float:
     raw = params.get(field, default)
+    if isinstance(raw, bool):
+        raise BadConfig(f"field '{field}' must be a number; got {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
@@ -107,7 +109,7 @@ def _tol(params: dict, field: str, default: float) -> float:
 
 def _floats(params: dict, field: str) -> tuple[float, ...]:
     raw = params[field]
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or any(isinstance(v, bool) for v in raw):
         raise BadConfig(f"field '{field}' must be a list of numbers; got {raw!r}")
     try:
         values = tuple(float(v) for v in raw)
@@ -293,7 +295,8 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
     n = _int(params, "n_freq", minimum=1)
-    _check_budget("n_freq", n * n)
+    # the filtered atoms y and x, (2 d n, n) each
+    _check_budget("n_freq", 2 * seq.d * n * n)
     seed = _int(params, "seed", minimum=0)
     rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(

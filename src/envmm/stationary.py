@@ -319,28 +319,46 @@ def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
 
 
 def _fourier_atoms(
-    omegas: NDArray, evals: NDArray, evecs: NDArray, rng: np.random.Generator
-) -> tuple[NDArray, NDArray]:
-    """Weighted atoms realizing the periodic covariance exactly.
+    evals: NDArray, evecs: NDArray, model: LTIModel, rng: np.random.Generator
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Filtered weighted atoms realizing the periodic covariance exactly.
 
     evals (n, d) and evecs (n, d, d) decompose the spectral blocks. Per
-    frequency r and positive eigenvalue lam with eigenvector u, contribute
-    the real and imaginary parts of sqrt(lam) u e^{i omega_r t} (times a
-    random phase, drawn in frequency-major order) with weight 1/n each.
-    Summing their outer products telescopes to the inverse DFT of the
-    PSD-clipped blocks, i.e. the periodic covariance, with no sampling error.
+    frequency r and positive eigenvalue lam with eigenvector u, the source
+    mode is sqrt(lam) u e^{i phi} e^{i omega_r t} (phi a random phase,
+    drawn in frequency-major order); its real and imaginary parts are two
+    atoms of weight 1/n. Summing their outer products telescopes to the
+    inverse DFT of the PSD-clipped blocks, i.e. the periodic covariance,
+    with no sampling error.
+
+    A sinusoid is an eigenfunction of every LTI filter: the real part of
+    a real atom filtered by the response R is the same part of the mode
+    times R_sym(r) = (R(r) + conj R(-r)) / 2. So channel 0 is filtered by
+    the target response into y and channel 1 by the observation response
+    into x, each (2k, n), without transforming a single atom. The waves
+    come from one table of n-th roots of unity, roots[(r t) mod n].
+    Returns y, x and the weights.
     """
-    n = omegas.size
+    n = evals.shape[0]
     freq, idx = np.nonzero(evals > 0.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=freq.size)
-    waves = np.exp(1j * (omegas[freq][:, None] * np.arange(n) + phases[:, None]))
+    ticks = np.arange(n)
+    roots = np.exp(2j * np.pi / n * ticks)
+    waves = roots[np.outer(freq, ticks) % n]
+    amps = np.sqrt(evals[freq, idx]) * np.exp(1j * phases)
     vecs = evecs[freq, :, idx]  # (k, d)
-    modes = np.sqrt(evals[freq, idx])[:, None, None] * vecs[:, :, None] * waves[:, None, :]
-    atoms = np.empty((2 * freq.size,) + modes.shape[1:])
-    atoms[0::2] = modes.real
-    atoms[1::2] = modes.imag
-    weights = np.full(atoms.shape[0], 1.0 / n)
-    return atoms, weights
+    filtered = []
+    for channel, resp in enumerate(
+        (model.target_response, model.observation_response)
+    ):
+        sym = 0.5 * (resp + np.conj(resp[(-ticks) % n]))
+        modes = (sym[freq] * amps * vecs[:, channel])[:, None] * waves
+        atoms = np.empty((2 * freq.size, n))
+        atoms[0::2] = modes.real
+        atoms[1::2] = modes.imag
+        filtered.append(atoms)
+    y, x = filtered
+    return y, x, np.full(2 * freq.size, 1.0 / n)
 
 
 def circulant_oracle(
@@ -353,10 +371,10 @@ def circulant_oracle(
     """Independent grid check of the frequency-wise estimator.
 
     Builds an exact finite ensemble for the period-n extension of the
-    sequence, filters it through the model, assembles and solves the
-    time-domain normal equations, and reads the solution's symbol off
-    its DFT diagonal. The report compares that symbol against the
-    frequency-wise ratio; the two routes share no code beyond the
+    sequence, filters it through the model mode by mode, assembles and
+    solves the time-domain normal equations, and reads the solution's
+    symbol off its DFT diagonal. The report compares that symbol against
+    the frequency-wise ratio; the two routes share no code beyond the
     spectral blocks. EmbeddingNotPSD is raised when a spectral block
     eigenvalue falls below -1e-9 * max|S|, a slack relative to the
     spectral density S, so rescaling the sequence never changes it.
@@ -382,14 +400,8 @@ def circulant_oracle(
         )
 
     rng = np.random.default_rng(seed)
-    atoms, weights = _fourier_atoms(sd.omegas, evals, evecs, rng)
-    space = MeasureSpace(weights=weights)
-
-    spec_x1 = np.fft.fft(atoms[:, 0, :], axis=1)
-    spec_x2 = np.fft.fft(atoms[:, 1, :], axis=1)
-    y = np.fft.ifft(model.target_response[None, :] * spec_x1, axis=1).real
-    x = np.fft.ifft(model.observation_response[None, :] * spec_x2, axis=1).real
-    obs = ObservedEnsemble(space=space, y=y, x=x)
+    y, x, weights = _fourier_atoms(evals, evecs, model, rng)
+    obs = ObservedEnsemble(space=MeasureSpace(weights=weights), y=y, x=x)
     system = assemble_normal_equations(obs)
 
     syy, syx, sxx = lti_blocks(sd, model)

@@ -139,3 +139,27 @@ def count_eigensolves(monkeypatch) -> dict:
     for name in ("eigh", "eigvalsh"):
         count_calls(monkeypatch, np.linalg, name, counts)
     return counts
+
+
+def fft_filtered_atoms(
+    evals: np.ndarray, evecs: np.ndarray, model: E.LTIModel, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference route for the oracle's filtered atoms: build the unfiltered
+    modes sqrt(lam) u e^{i (omega_r t + phi)} with the same phase draws,
+    split each into its real and imaginary atom, then filter every atom
+    channel through its response with an FFT round trip."""
+    n = evals.shape[0]
+    omegas = 2.0 * np.pi * np.arange(n) / n
+    freq, idx = np.nonzero(evals > 0.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=freq.size)
+    waves = np.exp(1j * (omegas[freq][:, None] * np.arange(n) + phases[:, None]))
+    vecs = evecs[freq, :, idx]
+    modes = np.sqrt(evals[freq, idx])[:, None, None] * vecs[:, :, None] * waves[:, None, :]
+    atoms = np.empty((2 * freq.size,) + modes.shape[1:])
+    atoms[0::2] = modes.real
+    atoms[1::2] = modes.imag
+    y = np.fft.ifft(model.target_response * np.fft.fft(atoms[:, 0, :], axis=1), axis=1)
+    x = np.fft.ifft(
+        model.observation_response * np.fft.fft(atoms[:, 1, :], axis=1), axis=1
+    )
+    return y.real, x.real

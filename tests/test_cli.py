@@ -277,6 +277,15 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_filter", "target_kernel", [float("nan"), 0.5]),
         ("wss_filter", "seq", {"lags": [[[float("nan")]]]}),
         ("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}),
+        # the filtered atoms are (2 d n, n) each: 4 * 5793^2 just exceeds the
+        # budget, which n * n alone would not
+        ("wss_filter", "n_freq", 5793),
+        # JSON true is not a number either
+        ("elliptic_demo", "potential", True),
+        ("elliptic_demo", "bump_width", False),
+        ("elliptic_demo", "alphas", [1.0, True]),
+        ("minimize", "mixing_norm", True),
+        ("wss_filter", "rank_tol", True),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

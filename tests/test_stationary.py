@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 import envmm as E
 import envmm.stationary as stationary
-from helpers import count_eigensolves, random_sequence, scaled_sequence
+from helpers import (
+    count_calls,
+    count_eigensolves,
+    fft_filtered_atoms,
+    random_sequence,
+    scaled_sequence,
+)
 
 
 def _white_pair(c12=0.5):
@@ -301,11 +307,51 @@ def test_fourier_atoms_realize_the_periodic_covariance(make_seq):
     seq = make_seq(rng)
     sd = E.spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd.values)
-    atoms, weights = stationary._fourier_atoms(sd.omegas, evals, evecs, rng)
-    flat = atoms.transpose(0, 2, 1).reshape(atoms.shape[0], -1)  # time-major
+    unit = E.LTIModel(target_response=np.ones(n), observation_response=np.ones(n))
+    y, x, weights = stationary._fourier_atoms(evals, evecs, unit, rng)
+    flat = np.stack([y, x], axis=2).reshape(y.shape[0], -1)  # time-major
     moment = (flat * weights[:, None]).T @ flat
     target = E.circulant_matrix(seq, n)
     assert np.abs(moment - target).max() <= 1e-12 * np.abs(target).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(7, 24),
+    make_seq=st.sampled_from(
+        [
+            lambda rng: random_sequence(rng, max_lag=3),
+            _rank_one_sequence,
+            lambda rng: _white_pair(float(rng.uniform(-0.9, 0.9))),
+        ]
+    ),
+    real_kernels=st.booleans(),
+)
+def test_fourier_atoms_match_the_fft_filtered_route(seed, n, make_seq, real_kernels):
+    # odd and even n, so the r = 0 mode and (for even n) the Nyquist mode,
+    # whose atoms are their own mirror images, are both covered; responses
+    # that are not conjugate symmetric pin the symmetrized response value
+    rng = np.random.default_rng(seed)
+    seq = make_seq(rng)
+    if real_kernels:
+        model = E.LTIModel.from_impulse_response(
+            rng.standard_normal(int(rng.integers(1, 6))),
+            rng.standard_normal(int(rng.integers(1, 6))),
+            n,
+        )
+    else:
+        resp = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        model = E.LTIModel(target_response=resp[0], observation_response=resp[1])
+    evals, evecs = np.linalg.eigh(E.spectral_density(seq, n).values)
+    y, x, weights = stationary._fourier_atoms(
+        evals, evecs, model, np.random.default_rng(seed)
+    )
+    y_ref, x_ref = fft_filtered_atoms(evals, evecs, model, np.random.default_rng(seed))
+    assert weights.shape == (y.shape[0],) and np.all(weights == 1.0 / n)
+    for got, ref in ((y, y_ref), (x, x_ref)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_oracle_makes_two_eigendecompositions(monkeypatch):
@@ -315,6 +361,17 @@ def test_oracle_makes_two_eigendecompositions(monkeypatch):
     E.circulant_oracle(seq, model, 8, seed=0)
     # one batched eigh of the spectral blocks, one of the Gram block
     assert counts == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_oracle_makes_two_ffts(monkeypatch):
+    seq = random_sequence(np.random.default_rng(15), max_lag=2)
+    model = E.LTIModel.from_impulse_response([1.0, 0.5], [0.8, -0.3], 8)
+    counts = count_calls(monkeypatch, np.fft, "fft")
+    count_calls(monkeypatch, np.fft, "ifft", counts)
+    E.circulant_oracle(seq, model, 8, seed=0)
+    # the symbol read-out of the solution; the atoms are filtered by their
+    # response values, not transformed
+    assert counts == {"fft": 1, "ifft": 1}
 
 
 @settings(max_examples=40, deadline=None)
