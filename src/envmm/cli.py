@@ -295,8 +295,9 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
     n = _int(params, "n_freq", minimum=1)
-    # the filtered atoms y and x, (2 d n, n) each
-    _check_budget("n_freq", 2 * seq.d * n * n)
+    # the atoms are streamed in chunks of at most n; the largest arrays left
+    # are the n x n complex solution spectrum and the Gram's eigh workspace
+    _check_budget("n_freq", 2 * n * n)
     seed = _int(params, "seed", minimum=0)
     rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(

@@ -67,15 +67,19 @@ class RepresentationOperator:
 
 @dataclass(frozen=True, eq=False)
 class ObservedEnsemble:
-    """Per-atom target and input coefficients: y (m, p_out), x (m, q)."""
+    """Per-atom target and input coefficients: y (m, p_out), x (m, q).
+
+    A float array is held as a read-only view, not copied: the caller's
+    own array stays writeable, and the ensemble assumes it is not changed.
+    """
 
     space: MeasureSpace
     y: NDArray
     x: NDArray
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=float)
-        x = np.array(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float).view()
+        x = np.asarray(self.x, dtype=float).view()
         y.flags.writeable = False
         x.flags.writeable = False
         if y.ndim != 2 or x.ndim != 2:

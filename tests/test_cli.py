@@ -277,9 +277,9 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_filter", "target_kernel", [float("nan"), 0.5]),
         ("wss_filter", "seq", {"lags": [[[float("nan")]]]}),
         ("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}),
-        # the filtered atoms are (2 d n, n) each: 4 * 5793^2 just exceeds the
-        # budget, which n * n alone would not
-        ("wss_filter", "n_freq", 5793),
+        # the n x n complex solution spectrum: 2 * 8193^2 is the first 2 n^2
+        # over the budget, which n * n alone would not exceed
+        ("wss_filter", "n_freq", 8193),
         # JSON true is not a number either
         ("elliptic_demo", "potential", True),
         ("elliptic_demo", "bump_width", False),

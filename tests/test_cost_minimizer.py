@@ -10,6 +10,7 @@ from helpers import (
     random_ensemble,
     random_estimator,
     random_representation,
+    random_space,
 )
 
 
@@ -81,6 +82,67 @@ def test_assemble_matches_observed_moments():
     np.testing.assert_allclose(sys.gram, kxx, atol=1e-12)
     np.testing.assert_allclose(sys.cross, kyx, atol=1e-12)
     assert sys.target_energy == pytest.approx(np.trace(kyy))
+
+
+def _chunked(obs, cuts):
+    """obs split at the sorted row indices cuts into consecutive ensembles."""
+    bounds = [0, *cuts, obs.space.m]
+    return [
+        E.ObservedEnsemble(
+            space=E.MeasureSpace(weights=obs.space.weights[lo:hi]),
+            y=obs.y[lo:hi],
+            x=obs.x[lo:hi],
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    column_scale=st.sampled_from([1.0, 1e-7, 0.0]),
+)
+def test_assembly_does_not_depend_on_atom_grouping(seed, column_scale):
+    # a 1e-7 input column leaves cross outside the retained Gram range
+    # (NoMinimizer), a zero one adds a kernel direction; m < q does too
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 25))
+    p_out, q = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    x = rng.standard_normal((m, q))
+    x[:, 0] *= column_scale
+    obs = E.ObservedEnsemble(
+        space=random_space(rng, m), y=rng.standard_normal((m, p_out)), x=x
+    )
+    n_cuts = int(rng.integers(1, m))
+    cuts = np.sort(rng.choice(np.arange(1, m), size=n_cuts, replace=False))
+    whole = E.assemble_normal_equations(obs)
+    chunked = E.assemble_normal_equations(iter(_chunked(obs, cuts.tolist())))
+
+    w = obs.space.weights
+    gram = (obs.x * w[:, None]).T @ obs.x
+    np.testing.assert_array_equal(whole.gram, 0.5 * (gram + gram.T))
+    np.testing.assert_array_equal(whole.cross, (obs.y * w[:, None]).T @ obs.x)
+    assert whole.target_energy == float(np.einsum("j,jk,jk->", w, obs.y, obs.y))
+
+    for got, ref in ((chunked.gram, whole.gram), (chunked.cross, whole.cross)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert chunked.target_energy == pytest.approx(whole.target_energy, rel=1e-13)
+
+    one, many = E.solution_set(whole), E.solution_set(chunked)
+    assert isinstance(one, E.NoMinimizer) == isinstance(many, E.NoMinimizer)
+    if not isinstance(one, E.NoMinimizer):
+        assert one.unique == many.unique
+        assert one.kernel_basis.shape == many.kernel_basis.shape
+
+
+def test_assembly_rejects_mismatched_or_missing_chunks():
+    space = E.MeasureSpace(weights=np.ones(2))
+    a = E.ObservedEnsemble(space=space, y=np.ones((2, 1)), x=np.ones((2, 2)))
+    b = E.ObservedEnsemble(space=space, y=np.ones((2, 1)), x=np.ones((2, 1)))
+    with pytest.raises(E.ShapeMismatch):
+        E.assemble_normal_equations([a, b])
+    with pytest.raises(E.ShapeMismatch):
+        E.assemble_normal_equations([])
 
 
 def test_solve_coercive_diagonal():

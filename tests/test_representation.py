@@ -54,6 +54,15 @@ def test_apply_linear_in_ensemble():
     )
 
 
+def test_observed_ensemble_holds_read_only_views():
+    y = np.arange(6.0).reshape(3, 2)
+    x = np.ones((3, 1))
+    obs = E.ObservedEnsemble(space=E.MeasureSpace(weights=np.ones(3)), y=y, x=x)
+    assert np.shares_memory(obs.y, y) and np.shares_memory(obs.x, x)
+    assert not obs.y.flags.writeable and not obs.x.flags.writeable
+    assert y.flags.writeable and x.flags.writeable
+
+
 def test_observed_moments_match_push_forward():
     rng = np.random.default_rng(5)
     a = random_ensemble(rng, m=5, d=2, p=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,19 @@ def _rank_one_sequence(rng, max_lag=3):
     return E.CovarianceSequence.from_nonneg_lags(nonneg)
 
 
+def _joined_atoms(evals, evecs, model, rng):
+    """The oracle's atom chunks joined in order: y, x, weights, chunk count."""
+    chunks = list(stationary._fourier_atoms(evals, evecs, model, rng))
+    n = evals.shape[0]
+    assert all(c.space.m <= n for c in chunks)
+    return (
+        np.concatenate([c.y for c in chunks]),
+        np.concatenate([c.x for c in chunks]),
+        np.concatenate([c.space.weights for c in chunks]),
+        len(chunks),
+    )
+
+
 @pytest.mark.parametrize(
     "make_seq",
     [
@@ -308,7 +323,7 @@ def test_fourier_atoms_realize_the_periodic_covariance(make_seq):
     sd = E.spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd.values)
     unit = E.LTIModel(target_response=np.ones(n), observation_response=np.ones(n))
-    y, x, weights = stationary._fourier_atoms(evals, evecs, unit, rng)
+    y, x, weights, _ = _joined_atoms(evals, evecs, unit, rng)
     flat = np.stack([y, x], axis=2).reshape(y.shape[0], -1)  # time-major
     moment = (flat * weights[:, None]).T @ flat
     target = E.circulant_matrix(seq, n)
@@ -344,14 +359,34 @@ def test_fourier_atoms_match_the_fft_filtered_route(seed, n, make_seq, real_kern
         resp = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         model = E.LTIModel(target_response=resp[0], observation_response=resp[1])
     evals, evecs = np.linalg.eigh(E.spectral_density(seq, n).values)
-    y, x, weights = stationary._fourier_atoms(
+    y, x, weights, count = _joined_atoms(
         evals, evecs, model, np.random.default_rng(seed)
     )
     y_ref, x_ref = fft_filtered_atoms(evals, evecs, model, np.random.default_rng(seed))
+    # at least n - 3 of the 2n modes survive for every sequence drawn here,
+    # more than the n // 2 modes of one chunk: the comparison below covers
+    # the phase order across chunks
+    assert count > 1
     assert weights.shape == (y.shape[0],) and np.all(weights == 1.0 / n)
     for got, ref in ((y, y_ref), (x, x_ref)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_oracle_streams_its_atoms():
+    # the atoms, 4n x n for each of y and x, are assembled chunk by chunk:
+    # the traced peak is near 10.5 n^2 float64, where building them whole
+    # and copying them into one ensemble peaks near 26 n^2
+    n = 256
+    seq = random_sequence(np.random.default_rng(17), max_lag=3)
+    model = E.LTIModel.from_impulse_response([1.0, 0.5, 0.25], [0.8, -0.3], n)
+    tracemalloc.start()
+    try:
+        E.circulant_oracle(seq, model, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8
 
 
 def test_oracle_makes_two_eigendecompositions(monkeypatch):
