@@ -28,7 +28,7 @@ from . import envelope as env
 from . import measure_ensemble as me
 from . import representation as rp
 from . import stationary as st
-from .errors import BadConfig, EnvmmError
+from .errors import BadConfig, DegenerateSpec, EnvmmError
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
 # checked before the array is built, so an oversized count exits 1.
@@ -305,7 +305,10 @@ def _run_wss_filter(params: dict, base_dir: Path):
         _load_array(params["observation_kernel"], "observation_kernel", 1),
         n,
     )
-    oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
+    try:
+        oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
+    except DegenerateSpec as exc:
+        raise BadConfig(f"field 'seq' is degenerate: {exc}") from exc
     report = {
         "kind": "wss_filter",
         "seed": seed,

@@ -54,7 +54,9 @@ class NormalEquationSystem:
     """First-order optimality data: gram (q x q), cross (p_out x q), energy.
 
     A minimizer T satisfies T gram = cross row by row; target_energy is
-    the constant term of the cost.
+    the constant term of the cost. A float array is held as a read-only
+    view, not copied: the caller's own array stays writeable, and the
+    system assumes it is not changed.
     """
 
     gram: NDArray
@@ -62,8 +64,8 @@ class NormalEquationSystem:
     target_energy: float
 
     def __post_init__(self):
-        g = np.array(self.gram, dtype=float)
-        c = np.array(self.cross, dtype=float)
+        g = np.asarray(self.gram, dtype=float).view()
+        c = np.asarray(self.cross, dtype=float).view()
         g.flags.writeable = False
         c.flags.writeable = False
         if g.ndim != 2 or g.shape[0] != g.shape[1]:

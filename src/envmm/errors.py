@@ -18,7 +18,8 @@ class BadTruncation(EnvmmError):
 
 
 class DegenerateSpec(EnvmmError, ValueError):
-    """A prescribed covariance is not symmetric PSD within tolerance."""
+    """A prescribed covariance is not symmetric PSD within tolerance, or
+    has no positive power where some is needed."""
 
 
 class NotCoercive(EnvmmError):

@@ -24,7 +24,13 @@ from .cost_minimizer import (
     solve_pseudoinverse,
 )
 from .covariance import DEFAULT_RANK_RTOL, PSD_TOL, SYM_RTOL, retained
-from .errors import BadGrid, EmbeddingNotPSD, ShapeMismatch, WrongDimension
+from .errors import (
+    BadGrid,
+    DegenerateSpec,
+    EmbeddingNotPSD,
+    ShapeMismatch,
+    WrongDimension,
+)
 from .measure_ensemble import MeasureSpace
 from .representation import ObservedEnsemble
 
@@ -327,9 +333,21 @@ def _fourier_atoms(
     evals (n, d) and evecs (n, d, d) decompose the spectral blocks. Per
     frequency r and positive eigenvalue lam with eigenvector u, the source
     mode is sqrt(lam) u e^{i phi} e^{i omega_r t} (phi a random phase);
-    its real and imaginary parts are two atoms of weight 1/n. Summing
-    their outer products telescopes to the inverse DFT of the PSD-clipped
+    its real and imaginary parts are two atoms. Summing their weighted
+    outer products telescopes to the inverse DFT of the PSD-clipped
     blocks, i.e. the periodic covariance, with no sampling error.
+
+    Only the half spectrum r = 0 .. n // 2 is built. The lags are real, so
+    S(n - r) = conj S(r): the eigenpairs there may be taken as
+    (lam, conj u), as the outer products summed over one frequency do not
+    depend on that choice. Also R_sym(n - r) = conj R_sym(r) and
+    roots[((n - r) t) mod n] = conj roots[(r t) mod n]. The mode at n - r
+    with phase phi is thus the conjugate of the mode at r with phase -phi,
+    whose real atom is the same and whose imaginary atom is negated in
+    both channels: it adds the same outer products as the mode at r. So
+    each atom at 0 < r < n/2 weighs 2/n, and the self-conjugate
+    frequencies r = 0 and (n even) r = n/2 weigh 1/n. That is at most
+    2 d (n // 2 + 1) atoms, not 2 d n.
 
     A sinusoid is an eigenfunction of every LTI filter: the real part of
     a real atom filtered by the response R is the same part of the mode
@@ -344,7 +362,7 @@ def _fourier_atoms(
     modes, at least one), so no atom array exceeds the n x n Gram block.
     """
     n = evals.shape[0]
-    freq, idx = np.nonzero(evals > 0.0)
+    freq, idx = np.nonzero(evals[: n // 2 + 1] > 0.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=freq.size)
     ticks = np.arange(n)
     roots = np.exp(2j * np.pi / n * ticks)
@@ -357,6 +375,8 @@ def _fourier_atoms(
             (model.target_response, model.observation_response)
         )
     ]
+    self_conjugate = (freq == 0) | (2 * freq == n)
+    mode_weights = np.where(self_conjugate, 1.0 / n, 2.0 / n)
     modes_per_chunk = max(1, n // 2)
     for start in range(0, freq.size, modes_per_chunk):
         chunk = slice(start, start + modes_per_chunk)
@@ -369,7 +389,7 @@ def _fourier_atoms(
             atoms[1::2] = modes.imag
             filtered.append(atoms)
         y, x = filtered
-        weights = np.full(y.shape[0], 1.0 / n)
+        weights = np.repeat(mode_weights[chunk], 2)
         yield ObservedEnsemble(space=MeasureSpace(weights=weights), y=y, x=x)
 
 
@@ -383,14 +403,17 @@ def circulant_oracle(
     """Independent grid check of the frequency-wise estimator.
 
     Builds an exact finite ensemble for the period-n extension of the
-    sequence, filters it through the model mode by mode, assembles the
-    time-domain normal equations chunk by chunk as the atoms are made (no
-    full atom array exists), solves them, and reads the solution's
-    symbol off its DFT diagonal. The report compares that symbol against
-    the frequency-wise ratio; the two routes share no code beyond the
-    spectral blocks. EmbeddingNotPSD is raised when a spectral block
-    eigenvalue falls below -1e-9 * max|S|, a slack relative to the
-    spectral density S, so rescaling the sequence never changes it.
+    sequence from the half spectrum r = 0 .. n // 2 (the other half
+    mirrors it; see _fourier_atoms), filters it through the model mode by
+    mode, assembles the time-domain normal equations chunk by chunk as
+    the atoms are made (no full atom array exists), solves them, and
+    reads the solution's symbol off its DFT diagonal. The report compares
+    that symbol against the frequency-wise ratio; the two routes share no
+    code beyond the spectral blocks. EmbeddingNotPSD is raised when a
+    spectral block eigenvalue falls below -1e-9 * max|S|, a slack
+    relative to the spectral density S, so rescaling the sequence never
+    changes it; DegenerateSpec when no eigenvalue of the half spectrum is
+    positive, so that there is no atom to assemble.
     """
     if seq.d != 2:
         raise WrongDimension(f"two channels required, got d={seq.d}")
@@ -410,6 +433,11 @@ def circulant_oracle(
         raise EmbeddingNotPSD(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"
+        )
+    if not (evals[: n // 2 + 1] > 0.0).any():
+        raise DegenerateSpec(
+            "covariance sequence has no positive spectral eigenvalue on the "
+            "grid, so there is no atom to observe"
         )
 
     rng = np.random.default_rng(seed)

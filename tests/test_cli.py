@@ -286,6 +286,8 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "alphas", [1.0, True]),
         ("minimize", "mixing_norm", True),
         ("wss_filter", "rank_tol", True),
+        # all-zero lags leave no positive spectral eigenvalue, so no atom
+        ("wss_filter", "seq", {"lags": [[[0.0, 0.0], [0.0, 0.0]]]}),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

@@ -145,6 +145,15 @@ def test_assembly_rejects_mismatched_or_missing_chunks():
         E.assemble_normal_equations([])
 
 
+def test_normal_equation_system_holds_read_only_views():
+    gram = np.diag([2.0, 4.0])
+    cross = np.array([[2.0, 4.0]])
+    sys = E.NormalEquationSystem(gram=gram, cross=cross, target_energy=1.0)
+    assert np.shares_memory(sys.gram, gram) and np.shares_memory(sys.cross, cross)
+    assert not sys.gram.flags.writeable and not sys.cross.flags.writeable
+    assert gram.flags.writeable and cross.flags.writeable
+
+
 def test_solve_coercive_diagonal():
     sys = _system(np.diag([2.0, 4.0]), [[2.0, 4.0]])
     est = E.solve_coercive(sys, c_min=1.0)

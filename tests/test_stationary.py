@@ -363,20 +363,73 @@ def test_fourier_atoms_match_the_fft_filtered_route(seed, n, make_seq, real_kern
         evals, evecs, model, np.random.default_rng(seed)
     )
     y_ref, x_ref = fft_filtered_atoms(evals, evecs, model, np.random.default_rng(seed))
-    # at least n - 3 of the 2n modes survive for every sequence drawn here,
-    # more than the n // 2 modes of one chunk: the comparison below covers
-    # the phase order across chunks
-    assert count > 1
-    assert weights.shape == (y.shape[0],) and np.all(weights == 1.0 / n)
+    # the reference builds every frequency; the oracle keeps r <= n // 2,
+    # which leads the frequency-major order, and draws its phases as a
+    # prefix of the same stream, so its atoms are the reference's first ones
+    ref_freq = np.repeat(np.nonzero(evals > 0.0)[0], 2)
+    kept = ref_freq <= n // 2
+    assert y.shape[0] == int(kept.sum()) and np.all(kept[: y.shape[0]])
     for got, ref in ((y, y_ref), (x, x_ref)):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert got.shape == (y.shape[0], n)
+        assert np.abs(got - ref[: got.shape[0]]).max() <= 1e-12 * np.abs(ref).max()
+    # the top eigenvalue at every kept frequency is positive for every
+    # sequence drawn here, so at least n // 2 + 1 modes survive, more than
+    # the n // 2 modes of one chunk: the comparison covers the phase order
+    # across chunks
+    assert count > 1
+    freq = ref_freq[kept]
+    self_conjugate = (freq == 0) | (2 * freq == n)
+    assert np.array_equal(weights, np.where(self_conjugate, 1.0 / n, 2.0 / n))
+    # each pair at 0 < r < n/2 stands for itself and its mirror at n - r:
+    # the half set's three second moments are the full set's at weight 1/n
+    # (the cross entries are measured against their Cauchy-Schwarz bound
+    # sqrt(energy * max gram), as a weakly correlated pair nearly cancels)
+    half = _moments(y, x, weights)
+    gram, cross, energy = _moments(y_ref, x_ref, np.full(y_ref.shape[0], 1.0 / n))
+    scales = (np.abs(gram).max(), np.sqrt(energy * np.abs(gram).max()), energy)
+    for got, ref, scale in zip(half, (gram, cross, energy), scales):
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+def _moments(y, x, weights):
+    """Gram, cross and target energy of weighted atoms."""
+    return (
+        (x * weights[:, None]).T @ x,
+        (y * weights[:, None]).T @ x,
+        np.einsum("j,jk,jk->", weights, y, y),
+    )
+
+
+def test_oracle_assembles_the_half_spectrum(monkeypatch):
+    # the modes at n - r mirror those at r, so only r <= n // 2 is built:
+    # two atoms per positive eigenvalue there, at most 2 d (n // 2 + 1)
+    seen = []
+
+    def counting(chunks):
+        chunks = list(chunks)
+        seen.append(sum(c.space.m for c in chunks))
+        return E.assemble_normal_equations(chunks)
+
+    monkeypatch.setattr(stationary, "assemble_normal_equations", counting)
+    for n, make_seq in (
+        (16, lambda rng: random_sequence(rng, max_lag=3)),
+        (17, lambda rng: random_sequence(rng, max_lag=3)),
+        (16, _rank_one_sequence),
+        (17, _rank_one_sequence),
+    ):
+        seq = make_seq(np.random.default_rng(n))
+        model = E.LTIModel.from_impulse_response([1.0, 0.5], [0.8, -0.3], n)
+        E.circulant_oracle(seq, model, n, seed=0)
+        evals = np.linalg.eigh(E.spectral_density(seq, n).values)[0]
+        positive = int(np.count_nonzero(evals[: n // 2 + 1] > 0.0))
+        assert seen.pop() == 2 * positive <= 2 * seq.d * (n // 2 + 1)
 
 
 def test_oracle_streams_its_atoms():
-    # the atoms, 4n x n for each of y and x, are assembled chunk by chunk:
-    # the traced peak is near 10.5 n^2 float64, where building them whole
-    # and copying them into one ensemble peaks near 26 n^2
+    # the atoms, at most 2 d (n // 2 + 1) = 2n + 4 rows of n for each of y
+    # and x, are assembled in chunks of at most n rows: the traced peak is
+    # near 9.2 n^2 float64, reached while one chunk is built and added (the
+    # full spectrum's 4n rows, streamed the same way, peaked near 10.5 n^2)
     n = 256
     seq = random_sequence(np.random.default_rng(17), max_lag=3)
     model = E.LTIModel.from_impulse_response([1.0, 0.5, 0.25], [0.8, -0.3], n)
@@ -386,7 +439,7 @@ def test_oracle_streams_its_atoms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * n * n * 8
+    assert peak < 12 * n * n * 8
 
 
 def test_oracle_makes_two_eigendecompositions(monkeypatch):
@@ -472,6 +525,13 @@ def test_oracle_rejects_indefinite_extension():
     seq = E.CovarianceSequence.from_nonneg_lags(lags)
     model = E.LTIModel.from_impulse_response([1.0], [1.0], 16)
     with pytest.raises(E.EmbeddingNotPSD):
+        E.circulant_oracle(seq, model, 16, seed=0)
+
+
+def test_oracle_rejects_a_sequence_without_power():
+    seq = E.CovarianceSequence.from_nonneg_lags(np.zeros((2, 2, 2)))
+    model = E.LTIModel.from_impulse_response([1.0], [1.0], 16)
+    with pytest.raises(E.DegenerateSpec, match="no positive spectral eigenvalue"):
         E.circulant_oracle(seq, model, 16, seed=0)
 
 
