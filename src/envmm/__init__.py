@@ -47,7 +47,6 @@ from .errors import (
     WrongDimension,
 )
 from .measure_ensemble import (
-    BaselineEnsemble,
     BaselineSpec,
     MeasureSpace,
     SourceEnsemble,

@@ -28,7 +28,7 @@ from . import envelope as env
 from . import measure_ensemble as me
 from . import representation as rp
 from . import stationary as st
-from .errors import BadConfig, DegenerateSpec, EnvmmError
+from .errors import BadConfig, DegenerateSpec, EmbeddingNotPSD, EnvmmError
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
 # checked before the array is built, so an oversized count exits 1.
@@ -295,9 +295,9 @@ def _run_wss_envelope(params: dict, base_dir: Path):
 def _run_wss_filter(params: dict, base_dir: Path):
     seq = _load_sequence(params["seq"], "seq")
     n = _int(params, "n_freq", minimum=1)
-    # the atoms are streamed in chunks of at most n; the largest arrays left
-    # are the n x n complex solution spectrum and the Gram's eigh workspace
-    _check_budget("n_freq", 2 * n * n)
+    # the largest arrays are the atoms and their complex waves: at most
+    # 2 d (n // 2 + 1) rows of n floats, beyond the n x n complex spectrum
+    _check_budget("n_freq", 2 * seq.d * (n // 2 + 1) * n)
     seed = _int(params, "seed", minimum=0)
     rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
     model = st.LTIModel.from_impulse_response(
@@ -309,6 +309,10 @@ def _run_wss_filter(params: dict, base_dir: Path):
         oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
     except DegenerateSpec as exc:
         raise BadConfig(f"field 'seq' is degenerate: {exc}") from exc
+    except EmbeddingNotPSD as exc:
+        raise BadConfig(
+            f"field 'seq' is indefinite on the 'n_freq' = {n} grid: {exc}"
+        ) from exc
     report = {
         "kind": "wss_filter",
         "seed": seed,
@@ -518,6 +522,21 @@ def run(
     """Execute one experiment config; returns the process exit code."""
     try:
         config = ExperimentConfig.load(config_path)
+    except (EnvmmError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return _execute(config, out_dir, seed, tol)
+
+
+def _execute(
+    config: ExperimentConfig,
+    out_dir: str | Path | None,
+    seed: int | None,
+    tol: float | None,
+) -> int:
+    """Run a loaded config's pipeline, write report.json and series.csv and
+    print the summary; returns the process exit code."""
+    try:
         params = dict(config.params)
         if seed is not None:
             params["seed"] = int(seed)
@@ -557,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.load(args.config)
-    except EnvmmError as exc:
+    except (EnvmmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -570,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    return run(args.config, out_dir=args.out, seed=args.seed, tol=args.tol)
+    return _execute(config, args.out, args.seed, args.tol)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .covariance import DEFAULT_RANK_RTOL, retained
 from .errors import NotCoercive, ShapeMismatch
-from .measure_ensemble import BaselineEnsemble, BaselineSpec, SourceEnsemble, second_moment
+from .measure_ensemble import BaselineSpec, SourceEnsemble, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
 
 
@@ -166,33 +166,12 @@ def cost_decomposed(
     return CostSplit(source_part, baseline_part, source_part + baseline_part)
 
 
-def assemble_normal_equations(
-    obs: Union[ObservedEnsemble, Iterable[ObservedEnsemble]],
-) -> NormalEquationSystem:
-    """Build the shared Gram block, cross matrix, and target energy.
-
-    obs is one ensemble or an iterable of ensembles over disjoint atoms
-    (consumed once); the three second moments are sums over atoms, so
-    chunks are accumulated in turn and no chunk is kept once added. A
-    single ensemble is one chunk.
-    """
-    chunks = (obs,) if isinstance(obs, ObservedEnsemble) else obs
-    gram = cross = None
-    for chunk in chunks:
-        w = chunk.space.weights
-        part_gram = (chunk.x * w[:, None]).T @ chunk.x
-        part_cross = (chunk.y * w[:, None]).T @ chunk.x
-        part_energy = float(np.einsum("j,jk,jk->", w, chunk.y, chunk.y))
-        if gram is None:
-            gram, cross, energy = part_gram, part_cross, part_energy
-        else:
-            if part_gram.shape != gram.shape or part_cross.shape != cross.shape:
-                raise ShapeMismatch("chunks observe different coefficient counts")
-            gram += part_gram
-            cross += part_cross
-            energy += part_energy
-    if gram is None:
-        raise ShapeMismatch("no observed atoms to assemble")
+def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
+    """Build the shared Gram block, cross matrix, and target energy."""
+    w = obs.space.weights
+    gram = (obs.x * w[:, None]).T @ obs.x
+    cross = (obs.y * w[:, None]).T @ obs.x
+    energy = float(np.einsum("j,jk,jk->", w, obs.y, obs.y))
     return NormalEquationSystem(
         gram=0.5 * (gram + gram.T), cross=cross, target_energy=energy
     )

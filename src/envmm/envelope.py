@@ -24,7 +24,6 @@ from .cost_minimizer import (
 from .covariance import loewner_dominates, retained
 from .errors import ShapeMismatch
 from .measure_ensemble import (
-    BaselineEnsemble,
     BaselineSpec,
     MeasureSpace,
     SourceEnsemble,
@@ -152,7 +151,7 @@ def _ones_fixing_orthogonal(n: int, rng: np.random.Generator) -> NDArray:
 
 def fit_baseline(
     a: SourceEnsemble, spec: BaselineSpec, seed: int
-) -> tuple[SourceEnsemble, BaselineEnsemble]:
+) -> tuple[SourceEnsemble, SourceEnsemble]:
     """Realize a perturbation with prescribed second moment, uncorrelated
     with the source.
 
@@ -173,10 +172,7 @@ def fit_baseline(
     rank = int(kept.sum())
     m, d, p = a.space.m, a.d, a.p
     if rank == 0:
-        zero = BaselineEnsemble(
-            space=a.space, values=np.zeros((m, d, p)), spec=spec
-        )
-        return a, zero
+        return a, SourceEnsemble(space=a.space, values=np.zeros((m, d, p)))
 
     mass = a.space.total_mass
     rng = np.random.default_rng(seed)
@@ -194,10 +190,9 @@ def fit_baseline(
     lifted = SourceEnsemble(
         space=space, values=np.repeat(a.values, 2 * rank, axis=0)
     )
-    xi = BaselineEnsemble(
+    xi = SourceEnsemble(
         space=space,
         values=np.tile(aux_values, (m, 1)).reshape(m * 2 * rank, d, p),
-        spec=spec,
     )
     return lifted, xi
 

@@ -65,7 +65,7 @@ class SourceEnsemble:
     """One d-component source per atom, p coefficients per component.
 
     values has shape (m, d, p): values[j, i, k] is coefficient k of
-    component i on atom j.
+    component i on atom j. A realized baseline (fit_baseline) is one too.
     """
 
     space: MeasureSpace
@@ -119,49 +119,20 @@ class BaselineSpec:
         return self.sigma_xi.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineEnsemble:
-    """Realized perturbation values on a measure space, plus their spec."""
-
-    space: MeasureSpace
-    values: NDArray
-    spec: BaselineSpec
-
-    def __post_init__(self):
-        v = _freeze(self.values)
-        if v.ndim != 3 or v.shape[0] != self.space.m:
-            raise ShapeMismatch("baseline values must have shape (m, d, p)")
-        if v.shape[1] * v.shape[2] != self.spec.dim:
-            raise ShapeMismatch("baseline values incompatible with spec dimension")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def flat_values(self) -> NDArray:
-        return self.values.reshape(self.space.m, self.d * self.p)
-
-
 def _raw_second_moment(weights: NDArray, flat: NDArray) -> NDArray:
     mat = (flat * weights[:, None]).T @ flat
     # symmetrize away matmul round-off so downstream PSD checks are clean
     return 0.5 * (mat + mat.T)
 
 
-def second_moment(ens: SourceEnsemble | BaselineEnsemble) -> BlockCovariance:
+def second_moment(ens: SourceEnsemble) -> BlockCovariance:
     """Weighted raw second moment sum_j w_j vec(a_j) vec(a_j)^T."""
     mat = _raw_second_moment(ens.space.weights, ens.flat_values)
     return BlockCovariance(matrix=mat, d=ens.d, p=ens.p)
 
 
 def cross_moment(
-    a: SourceEnsemble | BaselineEnsemble, x: SourceEnsemble | BaselineEnsemble
+    a: SourceEnsemble, x: SourceEnsemble
 ) -> NDArray:
     """Weighted raw cross moment sum_j w_j vec(a_j) vec(x_j)^T.
 
@@ -177,14 +148,14 @@ def cross_moment(
     return (a.flat_values * a.space.weights[:, None]).T @ x.flat_values
 
 
-def ensemble_norm(ens: SourceEnsemble | BaselineEnsemble) -> float:
+def ensemble_norm(ens: SourceEnsemble) -> float:
     """Weighted L2 norm: sqrt(sum_j w_j ||a_j||_F^2)."""
     sq = np.einsum("j,jk,jk->", ens.space.weights, ens.flat_values, ens.flat_values)
     return float(np.sqrt(max(sq, 0.0)))
 
 
 def ensemble_distance(
-    a: SourceEnsemble | BaselineEnsemble, b: SourceEnsemble | BaselineEnsemble
+    a: SourceEnsemble, b: SourceEnsemble
 ) -> float:
     """Norm of the atomwise difference; spaces must agree."""
     if not a.space.same_as(b.space):
@@ -199,7 +170,7 @@ def ensemble_distance(
 ENSEMBLE_CSV_HEADER = ["atom", "weight", "component", "coeff_index", "value"]
 
 
-def ensemble_to_csv(ens: SourceEnsemble | BaselineEnsemble, path) -> None:
+def ensemble_to_csv(ens: SourceEnsemble, path) -> None:
     """Write one row per (atom, component, coefficient). Indices are 0-based."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

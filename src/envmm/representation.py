@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadConfig, BadTruncation, ShapeMismatch
-from .measure_ensemble import BaselineEnsemble, MeasureSpace, SourceEnsemble
+from .measure_ensemble import MeasureSpace, SourceEnsemble
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +98,7 @@ class ObservedEnsemble:
         return self.x.shape[1]
 
 
-def _combined_values(
-    a: SourceEnsemble, xi: BaselineEnsemble | None
-) -> NDArray:
+def _combined_values(a: SourceEnsemble, xi: SourceEnsemble | None) -> NDArray:
     if xi is None:
         return a.values
     if not a.space.same_as(xi.space):
@@ -113,7 +111,7 @@ def _combined_values(
 def apply(
     rep: RepresentationOperator,
     a: SourceEnsemble,
-    xi: BaselineEnsemble | None = None,
+    xi: SourceEnsemble | None = None,
 ) -> ObservedEnsemble:
     """Observe every atom: y_j = target_map u_j, x_j = input_map u_j.
 
@@ -134,7 +132,7 @@ def truncation_residual(
     a: SourceEnsemble,
     n_in: int,
     n_out: int,
-    xi: BaselineEnsemble | None = None,
+    xi: SourceEnsemble | None = None,
 ) -> tuple[NDArray, float]:
     """Observation error committed by truncating the input.
 

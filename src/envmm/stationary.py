@@ -13,7 +13,6 @@ equations and compares against the closed-form frequency-wise ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -327,7 +326,7 @@ def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
 
 def _fourier_atoms(
     evals: NDArray, evecs: NDArray, model: LTIModel, rng: np.random.Generator
-) -> Iterator[ObservedEnsemble]:
+) -> ObservedEnsemble:
     """Filtered weighted atoms realizing the periodic covariance exactly.
 
     evals (n, d) and evecs (n, d, d) decompose the spectral blocks. Per
@@ -356,10 +355,9 @@ def _fourier_atoms(
     into x, without transforming a single atom. The waves come from one
     table of n-th roots of unity, roots[(r t) mod n].
 
-    Every phase is drawn on the first step, in frequency-major order, so
-    the atoms never depend on how they are grouped. The atoms are then
-    yielded in order as ObservedEnsemble chunks of at most n atoms (n // 2
-    modes, at least one), so no atom array exceeds the n x n Gram block.
+    Every phase is drawn in one call and all the atoms are built at once
+    into one ObservedEnsemble. The modes run in frequency-major order;
+    rows 2k and 2k + 1 are the real and imaginary atoms of mode k.
     """
     n = evals.shape[0]
     freq, idx = np.nonzero(evals[: n // 2 + 1] > 0.0)
@@ -376,21 +374,17 @@ def _fourier_atoms(
         )
     ]
     self_conjugate = (freq == 0) | (2 * freq == n)
-    mode_weights = np.where(self_conjugate, 1.0 / n, 2.0 / n)
-    modes_per_chunk = max(1, n // 2)
-    for start in range(0, freq.size, modes_per_chunk):
-        chunk = slice(start, start + modes_per_chunk)
-        waves = roots[np.outer(freq[chunk], ticks) % n]
-        filtered = []
-        for factor in factors:
-            modes = factor[chunk, None] * waves
-            atoms = np.empty((2 * modes.shape[0], n))
-            atoms[0::2] = modes.real
-            atoms[1::2] = modes.imag
-            filtered.append(atoms)
-        y, x = filtered
-        weights = np.repeat(mode_weights[chunk], 2)
-        yield ObservedEnsemble(space=MeasureSpace(weights=weights), y=y, x=x)
+    waves = roots[np.outer(freq, ticks) % n]
+    filtered = []
+    for factor in factors:
+        modes = factor[:, None] * waves
+        atoms = np.empty((2 * freq.size, n))
+        atoms[0::2] = modes.real
+        atoms[1::2] = modes.imag
+        filtered.append(atoms)
+    y, x = filtered
+    weights = np.repeat(np.where(self_conjugate, 1.0 / n, 2.0 / n), 2)
+    return ObservedEnsemble(space=MeasureSpace(weights=weights), y=y, x=x)
 
 
 def circulant_oracle(
@@ -405,15 +399,14 @@ def circulant_oracle(
     Builds an exact finite ensemble for the period-n extension of the
     sequence from the half spectrum r = 0 .. n // 2 (the other half
     mirrors it; see _fourier_atoms), filters it through the model mode by
-    mode, assembles the time-domain normal equations chunk by chunk as
-    the atoms are made (no full atom array exists), solves them, and
-    reads the solution's symbol off its DFT diagonal. The report compares
-    that symbol against the frequency-wise ratio; the two routes share no
-    code beyond the spectral blocks. EmbeddingNotPSD is raised when a
-    spectral block eigenvalue falls below -1e-9 * max|S|, a slack
-    relative to the spectral density S, so rescaling the sequence never
-    changes it; DegenerateSpec when no eigenvalue of the half spectrum is
-    positive, so that there is no atom to assemble.
+    mode, assembles the time-domain normal equations from it, solves
+    them, and reads the solution's symbol off its DFT diagonal. The
+    report compares that symbol against the frequency-wise ratio; the two
+    routes share no code beyond the spectral blocks. EmbeddingNotPSD is
+    raised when a spectral block eigenvalue falls below -1e-9 * max|S|, a
+    slack relative to the spectral density S, so rescaling the sequence
+    never changes it; DegenerateSpec when no eigenvalue of the half
+    spectrum is positive, so that there is no atom to assemble.
     """
     if seq.d != 2:
         raise WrongDimension(f"two channels required, got d={seq.d}")

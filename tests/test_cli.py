@@ -135,6 +135,23 @@ def test_main_happy_path(tmp_path):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+def test_main_loads_the_config_once(tmp_path, monkeypatch):
+    # main reads the kind to match it with the subcommand, then runs the
+    # same loaded config
+    calls = []
+    load = cli.ExperimentConfig.load.__func__
+
+    def counting(cls, path):
+        calls.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(cli.ExperimentConfig, "load", classmethod(counting))
+    config = str(CONFIG_DIR / "minimize.json")
+    code = cli.main(["minimize", "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 0 and (tmp_path / "o" / "report.json").exists()
+    assert calls == [config]
+
+
 def test_minimize_factorizes_the_gram_block_once(tmp_path, monkeypatch):
     counts = count_eigensolves(monkeypatch)
     code, report, _ = _run("minimize", tmp_path)
@@ -187,6 +204,20 @@ def test_verify_extremal_budget_bounds_every_array(
     cfg.write_text(json.dumps(config))
     monkeypatch.setattr(cli, "ELEMENT_BUDGET", budget)
     code = cli.run(cfg, out_dir=tmp_path / "o")
+    if field is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"field '{field}' is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget, field", [(8447, "n_freq"), (8448, None)])
+def test_wss_filter_budget_bounds_the_atoms(budget, field, tmp_path, monkeypatch, capsys):
+    # the bundled config has d = 2 and n_freq = 64: the atoms and their
+    # complex waves are at most 2 * 2 * (64 // 2 + 1) * 64 = 8448 elements,
+    # more than the 2 * 64^2 = 8192 of the complex solution spectrum
+    monkeypatch.setattr(cli, "ELEMENT_BUDGET", budget)
+    code = cli.run(CONFIG_DIR / "wss_filter.json", out_dir=tmp_path / "o")
     if field is None:
         assert code == 0
     else:
@@ -277,8 +308,8 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_filter", "target_kernel", [float("nan"), 0.5]),
         ("wss_filter", "seq", {"lags": [[[float("nan")]]]}),
         ("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}),
-        # the n x n complex solution spectrum: 2 * 8193^2 is the first 2 n^2
-        # over the budget, which n * n alone would not exceed
+        # the atoms and their complex waves, 2 d (n // 2 + 1) n elements: at
+        # d = 2, n = 8192 is the first over the budget, so 8193 is over too
         ("wss_filter", "n_freq", 8193),
         # JSON true is not a number either
         ("elliptic_demo", "potential", True),
@@ -288,6 +319,9 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_filter", "rank_tol", True),
         # all-zero lags leave no positive spectral eigenvalue, so no atom
         ("wss_filter", "seq", {"lags": [[[0.0, 0.0], [0.0, 0.0]]]}),
+        # lags [I, I] have the spectral density (1 + 2 cos w) I, negative
+        # near w = pi on any grid
+        ("wss_filter", "seq", {"lags": [np.eye(2).tolist(), np.eye(2).tolist()]}),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

@@ -294,17 +294,10 @@ def _rank_one_sequence(rng, max_lag=3):
     return E.CovarianceSequence.from_nonneg_lags(nonneg)
 
 
-def _joined_atoms(evals, evecs, model, rng):
-    """The oracle's atom chunks joined in order: y, x, weights, chunk count."""
-    chunks = list(stationary._fourier_atoms(evals, evecs, model, rng))
-    n = evals.shape[0]
-    assert all(c.space.m <= n for c in chunks)
-    return (
-        np.concatenate([c.y for c in chunks]),
-        np.concatenate([c.x for c in chunks]),
-        np.concatenate([c.space.weights for c in chunks]),
-        len(chunks),
-    )
+def _atoms(evals, evecs, model, rng):
+    """The oracle's atoms: y, x, weights."""
+    obs = stationary._fourier_atoms(evals, evecs, model, rng)
+    return obs.y, obs.x, obs.space.weights
 
 
 @pytest.mark.parametrize(
@@ -323,7 +316,7 @@ def test_fourier_atoms_realize_the_periodic_covariance(make_seq):
     sd = E.spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd.values)
     unit = E.LTIModel(target_response=np.ones(n), observation_response=np.ones(n))
-    y, x, weights, _ = _joined_atoms(evals, evecs, unit, rng)
+    y, x, weights = _atoms(evals, evecs, unit, rng)
     flat = np.stack([y, x], axis=2).reshape(y.shape[0], -1)  # time-major
     moment = (flat * weights[:, None]).T @ flat
     target = E.circulant_matrix(seq, n)
@@ -359,9 +352,7 @@ def test_fourier_atoms_match_the_fft_filtered_route(seed, n, make_seq, real_kern
         resp = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         model = E.LTIModel(target_response=resp[0], observation_response=resp[1])
     evals, evecs = np.linalg.eigh(E.spectral_density(seq, n).values)
-    y, x, weights, count = _joined_atoms(
-        evals, evecs, model, np.random.default_rng(seed)
-    )
+    y, x, weights = _atoms(evals, evecs, model, np.random.default_rng(seed))
     y_ref, x_ref = fft_filtered_atoms(evals, evecs, model, np.random.default_rng(seed))
     # the reference builds every frequency; the oracle keeps r <= n // 2,
     # which leads the frequency-major order, and draws its phases as a
@@ -372,11 +363,6 @@ def test_fourier_atoms_match_the_fft_filtered_route(seed, n, make_seq, real_kern
     for got, ref in ((y, y_ref), (x, x_ref)):
         assert got.shape == (y.shape[0], n)
         assert np.abs(got - ref[: got.shape[0]]).max() <= 1e-12 * np.abs(ref).max()
-    # the top eigenvalue at every kept frequency is positive for every
-    # sequence drawn here, so at least n // 2 + 1 modes survive, more than
-    # the n // 2 modes of one chunk: the comparison covers the phase order
-    # across chunks
-    assert count > 1
     freq = ref_freq[kept]
     self_conjugate = (freq == 0) | (2 * freq == n)
     assert np.array_equal(weights, np.where(self_conjugate, 1.0 / n, 2.0 / n))
@@ -405,10 +391,9 @@ def test_oracle_assembles_the_half_spectrum(monkeypatch):
     # two atoms per positive eigenvalue there, at most 2 d (n // 2 + 1)
     seen = []
 
-    def counting(chunks):
-        chunks = list(chunks)
-        seen.append(sum(c.space.m for c in chunks))
-        return E.assemble_normal_equations(chunks)
+    def counting(obs):
+        seen.append(obs.space.m)
+        return E.assemble_normal_equations(obs)
 
     monkeypatch.setattr(stationary, "assemble_normal_equations", counting)
     for n, make_seq in (
@@ -425,11 +410,10 @@ def test_oracle_assembles_the_half_spectrum(monkeypatch):
         assert seen.pop() == 2 * positive <= 2 * seq.d * (n // 2 + 1)
 
 
-def test_oracle_streams_its_atoms():
-    # the atoms, at most 2 d (n // 2 + 1) = 2n + 4 rows of n for each of y
-    # and x, are assembled in chunks of at most n rows: the traced peak is
-    # near 9.2 n^2 float64, reached while one chunk is built and added (the
-    # full spectrum's 4n rows, streamed the same way, peaked near 10.5 n^2)
+def test_oracle_peak_memory_is_near_its_atoms():
+    # the atoms are at most 2 d (n // 2 + 1) = 2n + 4 rows of n for each of
+    # y and x, built and assembled at once: the traced peak is near
+    # 8.5 n^2 float64
     n = 256
     seq = random_sequence(np.random.default_rng(17), max_lag=3)
     model = E.LTIModel.from_impulse_response([1.0, 0.5, 0.25], [0.8, -0.3], n)
@@ -439,7 +423,7 @@ def test_oracle_streams_its_atoms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * n * n * 8
+    assert peak < 10 * n * n * 8
 
 
 def test_oracle_makes_two_eigendecompositions(monkeypatch):
