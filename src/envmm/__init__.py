@@ -4,7 +4,6 @@ from .covariance import (
     BlockCovariance,
     dense_subset_check,
     loewner_dominates,
-    loewner_order,
     order_spectrum,
     push_forward,
 )
@@ -77,9 +76,7 @@ from .stationary import (
     circulant_oracle,
     lti_blocks,
     spectral_density,
-    spectral_margins,
     wiener_symbol,
-    wss_envelope_order,
     wss_envelope_test,
 )
 

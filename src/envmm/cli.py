@@ -57,11 +57,15 @@ class ExperimentConfig:
             raise BadConfig(
                 f"config field 'kind' must be one of {', '.join(KINDS)}; got {kind!r}"
             )
-        missing = [f for f in _KIND_SPECS[kind].required if f not in raw]
+        spec = _KIND_SPECS[kind]
+        missing = [f for f in spec.required if f not in raw]
         if missing:
             raise BadConfig(
                 f"config for kind '{kind}' is missing field(s): {', '.join(missing)}"
             )
+        for field in raw:
+            if field != "kind" and field not in spec.required + spec.optional:
+                raise BadConfig(f"field '{field}' is not a field of kind '{kind}'")
         params = {k: v for k, v in raw.items() if k != "kind"}
         return cls(kind=kind, params=params, base_dir=path.parent)
 
@@ -159,7 +163,6 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
         input_map=_load_array(params["input_map"], "input_map", 2),
         d=d,
         p=p,
-        mixing_norm=_float(params, "mixing_norm", 1.0),
     )
 
 
@@ -168,7 +171,7 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
 
 
 def _run_envelope_check(params: dict, base_dir: Path):
-    tol = _tol(params, "tol", 1e-9)
+    tol = _tol(params, "tol", cov.DEFAULT_TOL)
     source = _load_ensemble(params["source"], base_dir, "source")
     candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
     if (candidate.d, candidate.p) != (source.d, source.p):
@@ -176,7 +179,7 @@ def _run_envelope_check(params: dict, base_dir: Path):
             f"field 'candidate' has block shape {(candidate.d, candidate.p)}, "
             f"source has {(source.d, source.p)}"
         )
-    member, spectrum = cov.loewner_order(
+    member, spectrum = cov.loewner_dominates(
         me.second_moment(source), me.second_moment(candidate), tol=tol
     )
     report = {
@@ -243,7 +246,7 @@ def _run_verify_extremal(params: dict, base_dir: Path):
     _check_budget("n_samples", n_operators * (n_samples + 1))
     spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
     seed = _int(params, "seed", minimum=0)
-    tol = _tol(params, "tol", 1e-9)
+    tol = _tol(params, "tol", cov.DEFAULT_TOL)
     shrink_floor = _float(params, "shrink_floor", 0.0)
     rng = np.random.default_rng(seed)
     estimators = [
@@ -269,14 +272,14 @@ def _run_verify_extremal(params: dict, base_dir: Path):
 
 
 def _run_wss_envelope(params: dict, base_dir: Path):
-    tol = _tol(params, "tol", 1e-9)
+    tol = _tol(params, "tol", cov.DEFAULT_TOL)
     seq_a = _load_sequence(params["seq_a"], "seq_a")
     seq_b = _load_sequence(params["seq_b"], "seq_b")
     n_freq = _int(params, "n_freq", minimum=1)
     _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
     sa = st.spectral_density(seq_a, n_freq)
     sb = st.spectral_density(seq_b, n_freq)
-    ok, margins = st.wss_envelope_order(sa, sb, tol=tol)
+    ok, margins = st.wss_envelope_test(sa, sb, tol=tol)
     worst = int(np.argmin(margins))
     report = {
         "kind": "wss_envelope",
@@ -348,7 +351,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
     seed = _int(params, "seed", minimum=0)
     m = _int(params, "n_atoms", minimum=1)
     _check_budget("n_atoms", m * cfg.d * cfg.basis_dim)
-    tol = _tol(params, "tol", 1e-9)
+    tol = _tol(params, "tol", cov.DEFAULT_TOL)
     rep, meta = rp.build_elliptic_representation(cfg)
     rng = np.random.default_rng(seed)
     source = me.SourceEnsemble(
@@ -358,9 +361,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
     candidate = env.sample_dominated(source, seed + 1, 1)[0]
     pushed_src = cov.push_forward(rep.target_map, me.second_moment(source))
     pushed_cand = cov.push_forward(rep.target_map, me.second_moment(candidate))
-    transfer_ok, transfer_margin = cov.loewner_dominates(
-        pushed_src, pushed_cand, tol=tol
-    )
+    transfer_ok, spectrum = cov.loewner_dominates(pushed_src, pushed_cand, tol=tol)
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)
     outcome = cm.solution_set(system)
@@ -370,7 +371,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
         "component_gains": meta["component_gains"],
         "grid_step": meta["grid_step"],
         "transfer_ok": bool(transfer_ok),
-        "transfer_margin": float(transfer_margin),
+        "transfer_margin": float(spectrum[0]),
     }
     if isinstance(outcome, cm.NoMinimizer):
         report.update({"no_minimizer": True, "range_violation": outcome.range_violation})
@@ -397,10 +398,10 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
 @dataclass(frozen=True)
 class _KindSpec:
     """What the driver knows of one kind: the fields a config must give,
-    the field that --tol overrides, the summary fields, and the pipeline."""
+    the fields it may give, the summary fields, and the pipeline."""
 
     required: tuple[str, ...]
-    tol_field: str
+    optional: tuple[str, ...]
     summary: tuple[str, ...]
     pipeline: Callable[[dict, Path], tuple[dict, list, int]]
 
@@ -408,13 +409,13 @@ class _KindSpec:
 _KIND_SPECS = {
     "envelope_check": _KindSpec(
         required=("source", "candidate"),
-        tol_field="tol",
+        optional=("tol",),
         summary=("member", "lambda_min_margin", "tol"),
         pipeline=_run_envelope_check,
     ),
     "minimize": _KindSpec(
         required=("source", "target_map", "input_map"),
-        tol_field="rank_tol",
+        optional=("rank_tol", "c_min"),
         summary=(
             "no_minimizer",
             "residual",
@@ -437,19 +438,19 @@ _KIND_SPECS = {
             "n_samples",
             "n_operators",
         ),
-        tol_field="tol",
+        optional=("tol", "shrink_floor"),
         summary=("member", "max_violation", "cost_reference", "lambda_min_margin"),
         pipeline=_run_verify_extremal,
     ),
     "wss_envelope": _KindSpec(
         required=("seq_a", "seq_b", "n_freq"),
-        tol_field="tol",
+        optional=("tol",),
         summary=("member", "worst_frequency", "worst_margin"),
         pipeline=_run_wss_envelope,
     ),
     "wss_filter": _KindSpec(
         required=("seq", "target_kernel", "observation_kernel", "n_freq", "seed"),
-        tol_field="rank_tol",
+        optional=("rank_tol",),
         summary=(
             "max_symbol_gap",
             "flagged_count",
@@ -461,7 +462,7 @@ _KIND_SPECS = {
     ),
     "elliptic_demo": _KindSpec(
         required=("n_x", "bump_centers", "alphas", "basis_dim", "seed", "n_atoms"),
-        tol_field="tol",
+        optional=("potential", "bump_width", "ell", "tol"),
         summary=(
             "transfer_ok",
             "transfer_margin",
@@ -517,7 +518,6 @@ def run(
     config_path: str | Path,
     out_dir: str | Path | None = None,
     seed: int | None = None,
-    tol: float | None = None,
 ) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
@@ -525,14 +525,13 @@ def run(
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _execute(config, out_dir, seed, tol)
+    return _execute(config, out_dir, seed)
 
 
 def _execute(
     config: ExperimentConfig,
     out_dir: str | Path | None,
     seed: int | None,
-    tol: float | None,
 ) -> int:
     """Run a loaded config's pipeline, write report.json and series.csv and
     print the summary; returns the process exit code."""
@@ -540,12 +539,9 @@ def _execute(
         params = dict(config.params)
         if seed is not None:
             params["seed"] = int(seed)
-        spec = _KIND_SPECS[config.kind]
-        if tol is not None:
-            params[spec.tol_field] = float(tol)
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
-        report, series, code = spec.pipeline(params, config.base_dir)
+        report, series, code = _KIND_SPECS[config.kind].pipeline(params, config.base_dir)
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -570,9 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--tol", type=float, default=None, help="override the kind's tolerance"
-        )
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.load(args.config)
@@ -589,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    return _execute(config, args.out, args.seed, args.tol)
+    return _execute(config, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 A block covariance is a symmetric PSD matrix on the flattened coefficient
 space of a d-component, p-coefficient source (dimension d * p, component-
-major). Comparisons in the semidefinite order are quantitative: every
-check returns the extreme eigenvalue it was decided on.
+major). Comparisons in the semidefinite order are quantitative: the
+verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
-symmetric PSD check, and the rank rule `retained`.
+symmetric PSD check, the rank rule `retained`, and the one slack rule
+`within_slack` that every domination verdict is decided by.
 """
 
 from __future__ import annotations
@@ -21,6 +22,18 @@ from .errors import DegenerateSpec, ShapeMismatch
 SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_RANK_RTOL = 1e-12
+DEFAULT_TOL = 1e-9
+
+
+def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
+    """The one slack rule of every domination and embedding verdict.
+
+    True when statistic >= -tol * max(scale, tiny) holds elementwise, with
+    tiny the smallest normal float. Each verdict passes the scale of its
+    own data, so rescaling the data never changes the verdict.
+    """
+    floor = np.maximum(scale, np.finfo(float).tiny)
+    return bool(np.all(statistic >= -tol * floor))
 
 
 def check_symmetric_psd(mat: NDArray) -> None:
@@ -76,26 +89,18 @@ class BlockCovariance:
         return self.d * self.p
 
 
-def loewner_order(
-    big: BlockCovariance, small: BlockCovariance, tol: float = 1e-9
+def loewner_dominates(
+    big: BlockCovariance, small: BlockCovariance, tol: float = DEFAULT_TOL
 ) -> tuple[bool, NDArray]:
-    """Decide big >= small in the semidefinite order, keeping the spectrum.
+    """Decide big >= small in the semidefinite order.
 
-    Returns (verdict, ascending eigenvalues of big - small). The verdict
-    allows the minimal eigenvalue to dip to -tol * max|big|, which absorbs
-    round-off from the symmetric eigensolve; the slack is relative to big,
-    so rescaling both operands never changes the verdict.
+    Returns (verdict, ascending eigenvalues of big - small); spectrum[0] is
+    lambda_min, the margin the verdict was read from. The verdict is
+    within_slack(lambda_min, max|big|, tol), which absorbs round-off from
+    the symmetric eigensolve.
     """
     spectrum = order_spectrum(big, small)
-    return bool(spectrum[0] >= -tol * float(np.abs(big.matrix).max())), spectrum
-
-
-def loewner_dominates(
-    big: BlockCovariance, small: BlockCovariance, tol: float = 1e-9
-) -> tuple[bool, float]:
-    """loewner_order's verdict with lambda_min(big - small) alone."""
-    ok, spectrum = loewner_order(big, small, tol=tol)
-    return ok, float(spectrum[0])
+    return within_slack(spectrum[0], np.abs(big.matrix).max(), tol), spectrum
 
 
 def order_spectrum(big: BlockCovariance, small: BlockCovariance) -> NDArray:
@@ -125,13 +130,16 @@ def dense_subset_check(
     big: BlockCovariance,
     small: BlockCovariance,
     probes: NDArray,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[bool, int]:
     """Test g^T big g >= g^T small g on a finite probe family.
 
     probes is (n_probes, dim). Returns (all probes pass, rank of the probe
-    family). Only equivalent to full semidefinite domination when the
-    probes span the whole space, which the rank makes visible.
+    family). Each probe's gap g^T (big - small) g is held to within_slack
+    with the largest probe energy g^T big g as the scale, so rescaling
+    both operands never changes the verdict. Only equivalent to full
+    semidefinite domination when the probes span the whole space, which
+    the rank makes visible.
     """
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != big.dim:
@@ -140,7 +148,7 @@ def dense_subset_check(
         raise ShapeMismatch(f"dimension mismatch: {big.dim} vs {small.dim}")
     diff = big.matrix - small.matrix
     gaps = np.einsum("nk,kl,nl->n", probes, diff, probes)
-    scale = 1.0 + float(np.abs(np.einsum("nk,kl,nl->n", probes, big.matrix, probes)).max())
-    ok = bool(np.all(gaps >= -tol * scale))
+    energies = np.einsum("nk,kl,nl->n", probes, big.matrix, probes)
+    ok = within_slack(gaps, energies.max(), tol)
     rank = int(np.linalg.matrix_rank(probes))
     return ok, rank

@@ -21,7 +21,7 @@ from .cost_minimizer import (
     cost_difference_bound,
     residual_map,
 )
-from .covariance import loewner_dominates, retained
+from .covariance import DEFAULT_TOL, loewner_dominates, retained, within_slack
 from .errors import ShapeMismatch
 from .measure_ensemble import (
     BaselineSpec,
@@ -37,7 +37,9 @@ from .representation import RepresentationOperator
 class EnvelopeReport:
     """Outcome of a worst-case check against dominated samples.
 
-    member            no sampled cost exceeded the reference beyond tol
+    member            for every estimator, no sampled cost exceeded its
+                      reference cost by more than tol times that cost
+                      (covariance.within_slack)
     lambda_min_margin worst domination margin among the samples
     cost_reference    cost at the reference ensemble
     cost_samples      (sample id, cost) pairs; id 0 is the reference
@@ -73,13 +75,13 @@ class ClosureReport:
 
 
 def is_member(
-    candidate: SourceEnsemble, reference: SourceEnsemble, tol: float = 1e-9
-) -> tuple[bool, float]:
+    candidate: SourceEnsemble, reference: SourceEnsemble, tol: float = DEFAULT_TOL
+) -> tuple[bool, NDArray]:
     """Membership of candidate in the stability set of reference.
 
     Only second moments enter, so the two ensembles may live on
-    different measure spaces. Returns the verdict and the bottom
-    eigenvalue of the covariance gap.
+    different measure spaces. Returns loewner_dominates's pair: the
+    verdict and the ascending spectrum of the covariance gap.
     """
     if (candidate.d, candidate.p) != (reference.d, reference.p):
         raise ShapeMismatch("block shapes differ")
@@ -204,7 +206,7 @@ def verify_extremal(
     estimators: list[HSOperator],
     seed: int,
     n_samples: int,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     shrink_floor: float = 0.0,
 ) -> EnvelopeReport:
     """Check that no dominated sample beats the reference cost.
@@ -225,7 +227,8 @@ def verify_extremal(
     the bottom of Sigma_A, which BlockCovariance has already held to the
     PSD rule. When several estimators are given the report carries the
     worst one: membership requires every estimator's violation to stay
-    within tol * (1 + its reference cost).
+    within tol times its own reference cost (covariance.within_slack, so
+    rescaling the ensembles never changes the verdict).
     """
     if not estimators:
         raise ValueError("at least one estimator is required")
@@ -246,7 +249,7 @@ def verify_extremal(
     violations = (costs - refs[:, None]).max(axis=1)
     worst = int(np.argmax(violations))
     return EnvelopeReport(
-        member=not bool(np.any(violations > tol * (1.0 + refs))),
+        member=within_slack(-violations, refs, tol),
         lambda_min_margin=lambda_min_margin,
         cost_reference=float(refs[worst]),
         cost_samples=[(i, float(c)) for i, c in enumerate(costs[worst])],
@@ -260,7 +263,7 @@ def closure_regression(
     rep: RepresentationOperator,
     spec: BaselineSpec,
     est: HSOperator,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> ClosureReport:
     """Cost gaps along a sequence converging to a limit ensemble.
 

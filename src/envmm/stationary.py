@@ -22,7 +22,14 @@ from .cost_minimizer import (
     assemble_normal_equations,
     solve_pseudoinverse,
 )
-from .covariance import DEFAULT_RANK_RTOL, PSD_TOL, SYM_RTOL, retained
+from .covariance import (
+    DEFAULT_RANK_RTOL,
+    DEFAULT_TOL,
+    PSD_TOL,
+    SYM_RTOL,
+    retained,
+    within_slack,
+)
 from .errors import (
     BadGrid,
     DegenerateSpec,
@@ -212,34 +219,20 @@ def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
     return SpectralDensity(omegas=omegas, values=vals)
 
 
-def spectral_margins(sa: SpectralDensity, sb: SpectralDensity) -> NDArray:
-    """Bottom eigenvalue of sa - sb at every grid frequency."""
+def wss_envelope_test(
+    sa: SpectralDensity, sb: SpectralDensity, tol: float = DEFAULT_TOL
+) -> tuple[bool, NDArray]:
+    """Frequency-wise covariance domination of sb by sa.
+
+    Returns the verdict and the margins, the bottom eigenvalue of sa - sb
+    at every grid frequency, from one batched eigensolve; margins.argmin()
+    is the worst frequency. The verdict is
+    within_slack(margins.min(), max|sa|, tol).
+    """
     if sa.n_freq != sb.n_freq or sa.d != sb.d:
         raise ShapeMismatch("spectral densities on different grids")
-    return np.linalg.eigvalsh(sa.values - sb.values)[:, 0]
-
-
-def wss_envelope_order(
-    sa: SpectralDensity, sb: SpectralDensity, tol: float = 1e-9
-) -> tuple[bool, NDArray]:
-    """Frequency-wise covariance domination of sb by sa, keeping the margins.
-
-    Returns the verdict and spectral_margins(sa, sb). The slack
-    -tol * max|sa| is relative, so rescaling both densities never changes
-    the verdict.
-    """
-    margins = spectral_margins(sa, sb)
-    return bool(margins.min() >= -tol * float(np.abs(sa.values).max())), margins
-
-
-def wss_envelope_test(
-    sa: SpectralDensity, sb: SpectralDensity, tol: float = 1e-9
-) -> tuple[bool, tuple[float, float]]:
-    """wss_envelope_order's verdict with the worst offender alone, as
-    (frequency, bottom eigenvalue of the spectral gap there)."""
-    ok, margins = wss_envelope_order(sa, sb, tol=tol)
-    worst = int(np.argmin(margins))
-    return ok, (float(sa.omegas[worst]), float(margins[worst]))
+    margins = np.linalg.eigvalsh(sa.values - sb.values)[:, 0]
+    return within_slack(margins.min(), np.abs(sa.values).max(), tol), margins
 
 
 def lti_blocks(
@@ -317,10 +310,11 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
 
 
 def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
-    """Reject a response that is not conjugate symmetric to 1e-9 * max|resp|."""
+    """Reject a response that is not conjugate symmetric to
+    DEFAULT_TOL * max|resp|."""
     n = resp.size
     mirrored = np.conj(resp[(-np.arange(n)) % n])
-    if float(np.abs(resp - mirrored).max()) > 1e-9 * float(np.abs(resp).max()):
+    if float(np.abs(resp - mirrored).max()) > DEFAULT_TOL * float(np.abs(resp).max()):
         raise ValueError(f"{name} must be conjugate symmetric (real kernel)")
 
 
@@ -403,10 +397,10 @@ def circulant_oracle(
     them, and reads the solution's symbol off its DFT diagonal. The
     report compares that symbol against the frequency-wise ratio; the two
     routes share no code beyond the spectral blocks. EmbeddingNotPSD is
-    raised when a spectral block eigenvalue falls below -1e-9 * max|S|, a
-    slack relative to the spectral density S, so rescaling the sequence
-    never changes it; DegenerateSpec when no eigenvalue of the half
-    spectrum is positive, so that there is no atom to assemble.
+    raised when the bottom spectral block eigenvalue fails within_slack
+    at the scale max|S| of the spectral density S, so rescaling the
+    sequence never changes it; DegenerateSpec when no eigenvalue of the
+    half spectrum is positive, so that there is no atom to assemble.
     """
     if seq.d != 2:
         raise WrongDimension(f"two channels required, got d={seq.d}")
@@ -422,7 +416,7 @@ def circulant_oracle(
     sd = spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd.values)
     emb_min = float(evals[:, 0].min())
-    if emb_min < -1e-9 * float(np.abs(sd.values).max()):
+    if not within_slack(emb_min, np.abs(sd.values).max()):
         raise EmbeddingNotPSD(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"

@@ -226,8 +226,8 @@ def test_06_grid_domination_matches_dense_covariance():
         sa = random_sequence(rng, max_lag=4)
         sb = scaled_sequence(sa, float(rng.uniform(0.3, 1.2)))
         da, db = E.spectral_density(sa, n), E.spectral_density(sb, n)
-        ok_freq, (_, margin_freq) = E.wss_envelope_test(da, db)
-        min_freq = float(E.spectral_margins(da, db).min())
+        ok_freq, margins = E.wss_envelope_test(da, db)
+        min_freq = float(margins.min())
         gap = E.circulant_matrix(sa, n) - E.circulant_matrix(sb, n)
         min_time = float(np.linalg.eigvalsh(gap)[0])
         worst_mismatch = max(
@@ -236,7 +236,6 @@ def test_06_grid_domination_matches_dense_covariance():
         scale = 1.0 + float(np.abs(da.values).max())
         ok_time = min_time >= -1e-9 * scale
         verdicts_agree &= ok_freq == ok_time
-        assert margin_freq == pytest.approx(min_freq, abs=1e-12)
     ok = worst_mismatch <= 1e-9 and verdicts_agree
     assert _emit(
         ok,
@@ -319,13 +318,13 @@ def test_09_domination_survives_linear_transfer():
             lmap = rep.target_map
         else:
             lmap = rng.standard_normal((int(rng.integers(1, 8)), 6))
-        ok, margin = E.loewner_dominates(
+        ok, spectrum = E.loewner_dominates(
             E.push_forward(lmap, E.second_moment(a)),
             E.push_forward(lmap, E.second_moment(b)),
             tol=1e-9,
         )
         all_ok &= ok
-        min_margin = min(min_margin, margin)
+        min_margin = min(min_margin, spectrum[0])
     assert _emit(
         all_ok,
         "09 order transfer",

@@ -54,12 +54,6 @@ def test_seed_override_changes_samples(tmp_path):
     assert base["seed"] != 99
 
 
-def test_tol_override_recorded(tmp_path):
-    code, report, _ = _run("envelope_check", tmp_path, name="t", tol=1e-6)
-    assert code == 0
-    assert report["tol"] == pytest.approx(1e-6)
-
-
 def test_missing_field_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text(json.dumps({"kind": "verify_extremal", "source": {"weights": [1.0]}}))
@@ -81,6 +75,36 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     cfg.write_text("{not json")
     assert cli.run(cfg, out_dir=tmp_path / "o") == 1
     assert "JSON" in capsys.readouterr().err
+
+
+def test_unknown_field_names_the_kind(tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "minimize.json").read_text())
+    config["tolerance"] = 1e-9
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert "field 'tolerance' is not a field of kind 'minimize'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("minimize", "c_min", 1e-6),
+        ("elliptic_demo", "ell", [1.0] * 63),
+        ("verify_extremal", "shrink_floor", 0.5),
+        ("wss_filter", "rank_tol", 1e-10),
+    ],
+)
+def test_optional_fields_are_accepted(kind, field, value, tmp_path):
+    # the optional fields the README lists, including ones no bundled
+    # config gives
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    config[field] = value
+    cfg = tmp_path / "optional.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 0
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -322,6 +346,12 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         # lags [I, I] have the spectral density (1 + 2 cos w) I, negative
         # near w = pi on any grid
         ("wss_filter", "seq", {"lags": [np.eye(2).tolist(), np.eye(2).tolist()]}),
+        # a field the kind does not know, however plausible, is not ignored
+        ("minimize", "tolerance", 1e-9),
+        ("minimize", "rank_tl", 1e-12),
+        ("envelope_check", "rank_tol", 1e-12),
+        ("wss_envelope", "seed", 3),
+        ("elliptic_demo", "shrink_floor", 0.5),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
-from envmm.covariance import PSD_TOL, SYM_RTOL
+from envmm.covariance import DEFAULT_TOL, PSD_TOL, SYM_RTOL
 from helpers import contracted_ensemble, random_ensemble, random_psd
 
 
@@ -15,25 +15,25 @@ def _cov(matrix, d, p):
 def test_dominates_scalar_shrink():
     big = _cov(np.eye(2), 1, 2)
     small = _cov(0.5 * np.eye(2), 1, 2)
-    ok, margin = E.loewner_dominates(big, small)
+    ok, spectrum = E.loewner_dominates(big, small)
     assert ok
-    assert margin == pytest.approx(0.5)
+    assert spectrum[0] == pytest.approx(0.5)
 
 
 def test_incomparable_pair():
     a = _cov(np.diag([1.0, 0.0]), 1, 2)
     b = _cov(np.diag([0.0, 1.0]), 1, 2)
-    ok, margin = E.loewner_dominates(a, b)
+    ok, spectrum = E.loewner_dominates(a, b)
     assert not ok
-    assert margin == pytest.approx(-1.0)
+    np.testing.assert_allclose(spectrum, [-1.0, 1.0])
 
 
 def test_self_domination_margin_zero():
     rng = np.random.default_rng(3)
     cov = _cov(random_psd(rng, 6), 2, 3)
-    ok, margin = E.loewner_dominates(cov, cov)
+    ok, spectrum = E.loewner_dominates(cov, cov)
     assert ok
-    assert abs(margin) <= 1e-12
+    assert np.abs(spectrum).max() <= 1e-12
 
 
 def test_construction_rejects_asymmetric():
@@ -135,10 +135,10 @@ def test_push_forward_preserves_order():
         big = E.second_moment(a)
         small = E.second_moment(b)
         lmap = rng.standard_normal((4, 6))
-        ok, margin = E.loewner_dominates(
+        ok, spectrum = E.loewner_dominates(
             E.push_forward(lmap, big), E.push_forward(lmap, small), tol=1e-8
         )
-        assert ok, margin
+        assert ok, spectrum[0]
 
 
 def test_dense_subset_separates_from_domination():
@@ -160,6 +160,60 @@ def test_dense_subset_check_full_rank_detects_defect():
     assert rank == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    n_probes=st.integers(1, 6),
+    accepted=st.booleans(),
+)
+def test_dense_subset_check_verdict_is_scale_free(seed, k, n_probes, accepted):
+    # small exceeds big along u, so the worst probe gap sits at half or
+    # twice the slack DEFAULT_TOL * (largest probe energy of big); the
+    # verdict must read the same when both matrices are rescaled
+    rng = np.random.default_rng(seed)
+    big = random_psd(rng, 4)
+    probes = rng.standard_normal((n_probes, 4))
+    u = rng.standard_normal(4)
+    energy = float(np.einsum("nk,kl,nl->n", probes, big, probes).max())
+    excess = (0.5 if accepted else 2.0) * DEFAULT_TOL * energy
+    small = big + excess / float(((probes @ u) ** 2).max()) * np.outer(u, u)
+    ok, rank = E.dense_subset_check(
+        _cov(10.0**k * big, 2, 2), _cov(10.0**k * small, 2, 2), probes
+    )
+    assert ok == accepted
+    assert rank == min(n_probes, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    n_extra=st.integers(0, 4),
+    accepted=st.booleans(),
+)
+def test_dense_subset_check_with_full_rank_probes_agrees_with_loewner(
+    seed, k, n_extra, accepted
+):
+    # diagonal big, and small above it in one coordinate by half or twice
+    # the slack; the probes are the signed unit vectors plus random unit
+    # vectors, so the largest probe energy is max|big| and the worst probe
+    # gap is lambda_min(big - small): both rules read the same numbers
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.5, 1.0, size=4)
+    bumped = diag.copy()
+    bumped[rng.integers(4)] += (0.5 if accepted else 2.0) * DEFAULT_TOL * diag.max()
+    extra = rng.standard_normal((n_extra, 4))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    signs = rng.choice([-1.0, 1.0], size=4)
+    probes = rng.permutation(np.vstack([np.diag(signs), extra]))
+    big = _cov(10.0**k * np.diag(diag), 2, 2)
+    small = _cov(10.0**k * np.diag(bumped), 2, 2)
+    ok, rank = E.dense_subset_check(big, small, probes)
+    assert rank == 4
+    assert ok == E.loewner_dominates(big, small)[0] == accepted
+
+
 def test_order_spectrum_matches_eigvalsh():
     rng = np.random.default_rng(8)
     cov = _cov(random_psd(rng, 5), 1, 5)
@@ -176,5 +230,5 @@ def test_domination_chain_transitive():
         b = contracted_ensemble(rng, a)
         c = contracted_ensemble(rng, b)
         sa, sc = E.second_moment(a), E.second_moment(c)
-        ok, margin = E.loewner_dominates(sa, sc, tol=1e-8)
-        assert ok, margin
+        ok, spectrum = E.loewner_dominates(sa, sc, tol=1e-8)
+        assert ok, spectrum[0]

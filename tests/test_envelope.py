@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
-from envmm.covariance import check_symmetric_psd
+from envmm import envelope
+from envmm.covariance import DEFAULT_TOL, check_symmetric_psd
 from helpers import (
     random_baseline_spec,
     random_ensemble,
@@ -16,9 +17,9 @@ from helpers import (
 def test_membership_reflexive():
     rng = np.random.default_rng(1)
     a = random_ensemble(rng, m=5, d=2, p=3)
-    ok, margin = E.is_member(a, a)
+    ok, spectrum = E.is_member(a, a)
     assert ok
-    assert abs(margin) <= 1e-10
+    assert np.abs(spectrum).max() <= 1e-10
 
 
 def test_membership_scaling():
@@ -65,8 +66,8 @@ def test_sampler_stays_inside_stability_set():
     rng = np.random.default_rng(4)
     a = random_ensemble(rng, m=6, d=2, p=3)
     for sample in E.sample_dominated(a, seed=7, n_samples=20):
-        ok, margin = E.is_member(sample, a, tol=1e-12)
-        assert ok, margin
+        ok, spectrum = E.is_member(sample, a, tol=1e-12)
+        assert ok, spectrum[0]
 
 
 def test_sampler_unit_floor_reproduces_reference():
@@ -171,12 +172,13 @@ def _per_sample_report(a, spec, rep, ests, seed, n_samples, tol, floor):
     row per estimator, one column per sample) and each row's violation.
     """
     samples = [a] + E.sample_dominated(a, seed, n_samples, floor)
-    margins = [E.is_member(s, a, tol=tol)[1] for s in samples[1:]]
+    margins = [E.is_member(s, a, tol=tol)[1][0] for s in samples[1:]]
     table = np.array(
         [[E.cost_decomposed(s, spec, rep, est).total for s in samples] for est in ests]
     )
     violations = (table - table[:, :1]).max(axis=1)
-    member = bool(np.all(violations <= tol * (1.0 + table[:, 0])))
+    slack = tol * np.maximum(table[:, 0], np.finfo(float).tiny)
+    member = bool(np.all(violations <= slack))
     return member, min(margins, default=0.0), table, violations
 
 
@@ -256,6 +258,38 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
     # the dense rule the engine no longer runs accepts every realized moment
     for sample in E.sample_dominated(a, seed, n_samples, floor):
         check_symmetric_psd(E.second_moment(sample).matrix)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-8, 8),
+    accepted=st.booleans(),
+)
+def test_verify_extremal_verdict_is_scale_free(seed, k, accepted):
+    # every sample stretches Sigma_A's eigenbasis by D^2 = 1 + eps, so it is
+    # not dominated (the converse of the principle) and, with no baseline,
+    # each estimator's violation is eps times its reference cost: half or
+    # twice the slack DEFAULT_TOL * cost. The verdict must read the same
+    # when the ensemble is rescaled
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(rng, m=6, d=2, p=2)
+    spec = E.BaselineSpec(sigma_xi=np.zeros((4, 4)))
+    rep = random_representation(rng, 2, 2)
+    ests = [random_estimator(rng, rep) for _ in range(3)]
+    eps = (0.5 if accepted else 2.0) * DEFAULT_TOL
+
+    def expanding(sigma, seed, n_samples, shrink_floor):
+        diags = np.full((n_samples, sigma.shape[0]), np.sqrt(1.0 + eps))
+        return np.linalg.eigh(sigma)[1], diags
+
+    scaled = E.SourceEnsemble(space=a.space, values=10.0 ** (k / 2) * a.values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_contractions", expanding)
+        report = E.verify_extremal(scaled, spec, rep, ests, seed=0, n_samples=3)
+    assert report.member == accepted
+    assert report.max_violation == pytest.approx(eps * report.cost_reference, rel=1e-3)
+    assert report.lambda_min_margin < 0.0
 
 
 def _split_first_atom(a):
