@@ -7,6 +7,7 @@ demo (exit 2) or a usage failure (exit 1) is visible to the shell.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ def main() -> int:
         help="directory receiving one subdirectory per config",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="override every config's seed"
+        "--seed", type=int, default=None, help="override the seed of every seeded config"
     )
     args = parser.parse_args()
 
@@ -31,7 +32,9 @@ def main() -> int:
     for config in sorted(CONFIG_DIR.glob("*.json")):
         kind = config.stem
         print(f"--- {kind} " + "-" * max(0, 60 - len(kind)))
-        code = cli.run(config, out_dir=Path(args.out) / kind, seed=args.seed)
+        seeded = "seed" in json.loads(config.read_text())
+        seed = args.seed if seeded else None
+        code = cli.run(config, out_dir=Path(args.out) / kind, seed=seed)
         print(f"exit code: {code}\n")
         worst = max(worst, code)
     return worst

@@ -26,9 +26,7 @@ from .cost_minimizer import (
     system_cost,
 )
 from .envelope import (
-    ClosureReport,
     EnvelopeReport,
-    closure_regression,
     fit_baseline,
     is_member,
     sample_dominated,

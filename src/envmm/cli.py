@@ -28,7 +28,14 @@ from . import envelope as env
 from . import measure_ensemble as me
 from . import representation as rp
 from . import stationary as st
-from .errors import BadConfig, DegenerateSpec, EmbeddingNotPSD, EnvmmError
+from .errors import (
+    BadConfig,
+    BadGrid,
+    DegenerateSpec,
+    EmbeddingNotPSD,
+    EnvmmError,
+    NotCoercive,
+)
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
 # checked before the array is built, so an oversized count exits 1.
@@ -64,10 +71,16 @@ class ExperimentConfig:
                 f"config for kind '{kind}' is missing field(s): {', '.join(missing)}"
             )
         for field in raw:
-            if field != "kind" and field not in spec.required + spec.optional:
-                raise BadConfig(f"field '{field}' is not a field of kind '{kind}'")
+            if field != "kind":
+                _check_known(kind, field)
         params = {k: v for k, v in raw.items() if k != "kind"}
         return cls(kind=kind, params=params, base_dir=path.parent)
+
+
+def _check_known(kind: str, field: str) -> None:
+    spec = _KIND_SPECS[kind]
+    if field not in spec.required + spec.optional:
+        raise BadConfig(f"field '{field}' is not a field of kind '{kind}'")
 
 
 def _int(params: dict, field: str, minimum: int | None = None) -> int:
@@ -91,7 +104,10 @@ def _check_budget(field: str, elements: int) -> None:
         )
 
 
-def _float(params: dict, field: str, default=None) -> float:
+def _float(
+    params: dict, field: str, default=None, lo: float = -np.inf, hi: float = np.inf
+) -> float:
+    """A finite number, within [lo, hi] when bounds are given."""
     raw = params.get(field, default)
     if isinstance(raw, bool):
         raise BadConfig(f"field '{field}' must be a number; got {raw!r}")
@@ -99,15 +115,11 @@ def _float(params: dict, field: str, default=None) -> float:
         value = float(raw)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"field '{field}' must be a number; got {raw!r}") from exc
-    if not np.isfinite(value):
-        raise BadConfig(f"field '{field}' must be a finite number; got {raw!r}")
-    return value
-
-
-def _tol(params: dict, field: str, default: float) -> float:
-    value = _float(params, field, default)
-    if value < 0.0:
-        raise BadConfig(f"field '{field}' must be a finite number >= 0; got {value!r}")
+    if not (np.isfinite(value) and lo <= value <= hi):
+        bounds = (
+            "" if lo == -np.inf else f" >= {lo:g}" if hi == np.inf else f" in [{lo:g}, {hi:g}]"
+        )
+        raise BadConfig(f"field '{field}' must be a finite number{bounds}; got {raw!r}")
     return value
 
 
@@ -171,7 +183,7 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
 
 
 def _run_envelope_check(params: dict, base_dir: Path):
-    tol = _tol(params, "tol", cov.DEFAULT_TOL)
+    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
     source = _load_ensemble(params["source"], base_dir, "source")
     candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
     if (candidate.d, candidate.p) != (source.d, source.p):
@@ -199,7 +211,7 @@ def _run_minimize(params: dict, base_dir: Path):
     rep = _representation(params, source.d, source.p)
     obs = rp.apply(rep, source)
     system = cm.assemble_normal_equations(obs)
-    rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
+    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL, lo=0.0)
     report = {
         "kind": "minimize",
         "coercivity_margin": cm.coercivity_margin(system),
@@ -209,7 +221,11 @@ def _run_minimize(params: dict, base_dir: Path):
         [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
     ]
     if "c_min" in params:
-        est = cm.solve_coercive(system, _float(params, "c_min"))
+        c_min = _float(params, "c_min")
+        try:
+            est = cm.solve_coercive(system, c_min)
+        except (ValueError, NotCoercive) as exc:
+            raise BadConfig(f"field 'c_min': {exc}") from exc
         kernel_dim, unique = 0, True
     else:
         outcome = cm.solution_set(system, rank_tol=rank_tol)
@@ -246,8 +262,8 @@ def _run_verify_extremal(params: dict, base_dir: Path):
     _check_budget("n_samples", n_operators * (n_samples + 1))
     spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
     seed = _int(params, "seed", minimum=0)
-    tol = _tol(params, "tol", cov.DEFAULT_TOL)
-    shrink_floor = _float(params, "shrink_floor", 0.0)
+    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
+    shrink_floor = _float(params, "shrink_floor", 0.0, lo=0.0, hi=1.0)
     rng = np.random.default_rng(seed)
     estimators = [
         cm.HSOperator(coeffs=rng.standard_normal((rep.p_out, rep.q)))
@@ -263,22 +279,30 @@ def _run_verify_extremal(params: dict, base_dir: Path):
         tol=tol,
         shrink_floor=shrink_floor,
     )
-    report = {"kind": "verify_extremal", "seed": seed, "tol": tol, **rep_report.as_dict()}
-    del report["cost_samples"]
-    series = [["sample", "cost"]] + [
-        [int(i), float(c)] for i, c in rep_report.cost_samples
-    ]
+    report = {
+        "kind": "verify_extremal",
+        "seed": seed,
+        "tol": tol,
+        "member": rep_report.member,
+        "lambda_min_margin": rep_report.lambda_min_margin,
+        "cost_reference": rep_report.cost_reference,
+        "max_violation": rep_report.max_violation,
+    }
+    series = [["sample", "cost"], *rep_report.cost_samples]
     return report, series, 0 if rep_report.member else 2
 
 
 def _run_wss_envelope(params: dict, base_dir: Path):
-    tol = _tol(params, "tol", cov.DEFAULT_TOL)
+    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
     seq_a = _load_sequence(params["seq_a"], "seq_a")
     seq_b = _load_sequence(params["seq_b"], "seq_b")
     n_freq = _int(params, "n_freq", minimum=1)
     _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
-    sa = st.spectral_density(seq_a, n_freq)
-    sb = st.spectral_density(seq_b, n_freq)
+    try:
+        sa = st.spectral_density(seq_a, n_freq)
+        sb = st.spectral_density(seq_b, n_freq)
+    except BadGrid as exc:
+        raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
     ok, margins = st.wss_envelope_test(sa, sb, tol=tol)
     worst = int(np.argmin(margins))
     report = {
@@ -302,7 +326,7 @@ def _run_wss_filter(params: dict, base_dir: Path):
     # 2 d (n // 2 + 1) rows of n floats, beyond the n x n complex spectrum
     _check_budget("n_freq", 2 * seq.d * (n // 2 + 1) * n)
     seed = _int(params, "seed", minimum=0)
-    rank_tol = _tol(params, "rank_tol", cov.DEFAULT_RANK_RTOL)
+    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL, lo=0.0)
     model = st.LTIModel.from_impulse_response(
         _load_array(params["target_kernel"], "target_kernel", 1),
         _load_array(params["observation_kernel"], "observation_kernel", 1),
@@ -312,6 +336,8 @@ def _run_wss_filter(params: dict, base_dir: Path):
         oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
     except DegenerateSpec as exc:
         raise BadConfig(f"field 'seq' is degenerate: {exc}") from exc
+    except BadGrid as exc:
+        raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
     except EmbeddingNotPSD as exc:
         raise BadConfig(
             f"field 'seq' is indefinite on the 'n_freq' = {n} grid: {exc}"
@@ -351,7 +377,7 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
     seed = _int(params, "seed", minimum=0)
     m = _int(params, "n_atoms", minimum=1)
     _check_budget("n_atoms", m * cfg.d * cfg.basis_dim)
-    tol = _tol(params, "tol", cov.DEFAULT_TOL)
+    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
     rep, meta = rp.build_elliptic_representation(cfg)
     rng = np.random.default_rng(seed)
     source = me.SourceEnsemble(
@@ -518,27 +544,24 @@ def run(
     config_path: str | Path,
     out_dir: str | Path | None = None,
     seed: int | None = None,
+    command: str | None = None,
 ) -> int:
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config: run its pipeline, write report.json
+    and series.csv and print the summary; returns the process exit code.
+
+    seed overrides the config's seed (only a kind with a seed field takes
+    one); command, when given, is the subcommand the kind must match.
+    """
     try:
         config = ExperimentConfig.load(config_path)
-    except (EnvmmError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _execute(config, out_dir, seed)
-
-
-def _execute(
-    config: ExperimentConfig,
-    out_dir: str | Path | None,
-    seed: int | None,
-) -> int:
-    """Run a loaded config's pipeline, write report.json and series.csv and
-    print the summary; returns the process exit code."""
-    try:
+        if command is not None and config.kind != command:
+            raise BadConfig(
+                f"config kind '{config.kind}' does not match subcommand '{command}'"
+            )
         params = dict(config.params)
         if seed is not None:
-            params["seed"] = int(seed)
+            _check_known(config.kind, "seed")
+            params["seed"] = seed
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
         report, series, code = _KIND_SPECS[config.kind].pipeline(params, config.base_dir)
@@ -561,28 +584,14 @@ def main(argv: list[str] | None = None) -> int:
         description="Worst-case projection experiments over covariance envelopes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind, spec in _KIND_SPECS.items():
         p = sub.add_parser(kind, help=f"run a {kind} config")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if "seed" in spec.required:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
-    try:
-        config = ExperimentConfig.load(args.config)
-    except (EnvmmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    if config.kind != args.command:
-        print(
-            f"error: config kind '{config.kind}' does not match subcommand "
-            f"'{args.command}'",
-            file=sys.stderr,
-        )
-        return 1
-    return _execute(config, args.out, args.seed)
+    return run(args.config, args.out, getattr(args, "seed", None), args.command)
 
 
 if __name__ == "__main__":

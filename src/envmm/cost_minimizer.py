@@ -264,10 +264,11 @@ def cost_difference_bound(
 ) -> float:
     """Lipschitz-type bound on the source-part cost gap between ensembles.
 
-    Returns (2 + sqrt(2)) * norm_bound^2 * max(1, mixing_norm^2)
-    * max(1, hs_norm^2) * dist(a1, a2) * (||a1|| + ||a2||). The joint
-    norm_bound makes this dominate |cost(a1) - cost(a2)| for any shared
-    baseline; the max factors keep it monotone in the estimator size.
+    Returns (2 + sqrt(2)) * norm_bound^2 * max(1, hs_norm^2)
+    * dist(a1, a2) * (||a1|| + ||a2||). The joint norm_bound of the two
+    maps, with any observation mixing already folded into input_map,
+    makes this dominate |cost(a1) - cost(a2)| for any shared baseline;
+    the max factor keeps it monotone in the estimator size.
     """
     from .measure_ensemble import ensemble_distance, ensemble_norm
 
@@ -276,7 +277,6 @@ def cost_difference_bound(
     return float(
         (2.0 + np.sqrt(2.0))
         * rep.norm_bound**2
-        * max(1.0, rep.mixing_norm**2)
         * max(1.0, est.hs_norm**2)
         * dist
         * scale

@@ -15,21 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cost_minimizer import (
-    HSOperator,
-    cost_decomposed,
-    cost_difference_bound,
-    residual_map,
-)
+from .cost_minimizer import HSOperator, residual_map
 from .covariance import DEFAULT_TOL, loewner_dominates, retained, within_slack
 from .errors import ShapeMismatch
-from .measure_ensemble import (
-    BaselineSpec,
-    MeasureSpace,
-    SourceEnsemble,
-    ensemble_distance,
-    second_moment,
-)
+from .measure_ensemble import BaselineSpec, MeasureSpace, SourceEnsemble, second_moment
 from .representation import RepresentationOperator
 
 
@@ -52,26 +41,6 @@ class EnvelopeReport:
     cost_reference: float
     cost_samples: list[tuple[int, float]]
     max_violation: float
-
-    def as_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "lambda_min_margin": self.lambda_min_margin,
-            "cost_reference": self.cost_reference,
-            "cost_samples": [[int(i), float(c)] for i, c in self.cost_samples],
-            "max_violation": self.max_violation,
-        }
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Cost gaps of approximating ensembles against a limit ensemble."""
-
-    distances: list[float]
-    gaps: list[float]
-    bounds: list[float]
-    gaps_within_bound: bool
-    max_gap: float
 
 
 def is_member(
@@ -254,36 +223,4 @@ def verify_extremal(
         cost_reference=float(refs[worst]),
         cost_samples=[(i, float(c)) for i, c in enumerate(costs[worst])],
         max_violation=float(violations[worst]),
-    )
-
-
-def closure_regression(
-    a_limit: SourceEnsemble,
-    approximants: list[SourceEnsemble],
-    rep: RepresentationOperator,
-    spec: BaselineSpec,
-    est: HSOperator,
-    tol: float = DEFAULT_TOL,
-) -> ClosureReport:
-    """Cost gaps along a sequence converging to a limit ensemble.
-
-    The baseline part of the cost is shared, so each gap is the absolute
-    difference of source parts. Every gap must sit under the Lipschitz
-    bound, within tol slack.
-    """
-    h_limit = cost_decomposed(a_limit, spec, rep, est).source_part
-    distances, gaps, bounds = [], [], []
-    for approx in approximants:
-        distances.append(ensemble_distance(approx, a_limit))
-        gaps.append(
-            abs(cost_decomposed(approx, spec, rep, est).source_part - h_limit)
-        )
-        bounds.append(cost_difference_bound(approx, a_limit, rep, est))
-    within = all(g <= b + tol for g, b in zip(gaps, bounds))
-    return ClosureReport(
-        distances=[float(v) for v in distances],
-        gaps=[float(v) for v in gaps],
-        bounds=[float(v) for v in bounds],
-        gaps_within_bound=within,
-        max_gap=float(max(gaps)) if gaps else 0.0,
     )

@@ -4,8 +4,7 @@ A representation operator carries two matrices acting on the flattened
 coefficient vector of a d-component source: `target_map` produces the
 p_out coefficients of the quantity to be estimated, `input_map` produces
 the q coefficients actually observed. Any fixed mixing applied to the
-observation channel is folded into `input_map`; its operator norm is kept
-separately because continuity estimates need it.
+observation channel is folded into `input_map`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class RepresentationOperator:
     input_map: NDArray
     d: int
     p: int
-    mixing_norm: float = 1.0
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
@@ -47,8 +45,6 @@ class RepresentationOperator:
             raise ShapeMismatch(
                 f"maps must have {self.d * self.p} columns, got {t.shape[1]} and {i.shape[1]}"
             )
-        if self.mixing_norm < 0:
-            raise ValueError("mixing_norm must be nonnegative")
         object.__setattr__(self, "target_map", t)
         object.__setattr__(self, "input_map", i)
         stacked = np.vstack([t, i])
@@ -98,16 +94,6 @@ class ObservedEnsemble:
         return self.x.shape[1]
 
 
-def _combined_values(a: SourceEnsemble, xi: SourceEnsemble | None) -> NDArray:
-    if xi is None:
-        return a.values
-    if not a.space.same_as(xi.space):
-        raise ShapeMismatch("source and baseline must share a measure space")
-    if (a.d, a.p) != (xi.d, xi.p):
-        raise ShapeMismatch("source and baseline block shapes differ")
-    return a.values + xi.values
-
-
 def apply(
     rep: RepresentationOperator,
     a: SourceEnsemble,
@@ -121,7 +107,14 @@ def apply(
         raise ShapeMismatch(
             f"ensemble blocks ({a.d},{a.p}) do not match the operator ({rep.d},{rep.p})"
         )
-    flat = _combined_values(a, xi).reshape(a.space.m, rep.d * rep.p)
+    values = a.values
+    if xi is not None:
+        if not a.space.same_as(xi.space):
+            raise ShapeMismatch("source and baseline must share a measure space")
+        if (a.d, a.p) != (xi.d, xi.p):
+            raise ShapeMismatch("source and baseline block shapes differ")
+        values = values + xi.values
+    flat = values.reshape(a.space.m, rep.d * rep.p)
     return ObservedEnsemble(
         space=a.space, y=flat @ rep.target_map.T, x=flat @ rep.input_map.T
     )
@@ -132,7 +125,6 @@ def truncation_residual(
     a: SourceEnsemble,
     n_in: int,
     n_out: int,
-    xi: SourceEnsemble | None = None,
 ) -> tuple[NDArray, float]:
     """Observation error committed by truncating the input.
 
@@ -150,7 +142,7 @@ def truncation_residual(
         raise BadTruncation(f"n_out {n_out} outside 1..{min(rep.p_out, rep.q)}")
     if (a.d, a.p) != (rep.d, rep.p):
         raise ShapeMismatch("ensemble blocks do not match the operator")
-    tail = _combined_values(a, xi).copy()
+    tail = a.values.copy()
     tail[..., :n_in] = 0.0
     tail = tail.reshape(a.space.m, rep.d * rep.p)
     dy = tail @ rep.target_map[:n_out].T
@@ -188,26 +180,29 @@ class EllipticConfig:
     ell: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # each field shares its name with the elliptic_demo config field
         if self.n_x < 2:
-            raise BadConfig(f"n_x must be at least 2, got {self.n_x}")
+            raise BadConfig(f"field 'n_x' must be at least 2; got {self.n_x}")
         if not self.potential >= 0:
-            raise BadConfig(f"potential must be nonnegative, got {self.potential}")
+            raise BadConfig(f"field 'potential' must be >= 0; got {self.potential}")
         if self.bump_width is not None and not self.bump_width > 0:
-            raise BadConfig(f"bump_width must be positive, got {self.bump_width}")
+            raise BadConfig(f"field 'bump_width' must be > 0; got {self.bump_width}")
+        if len(self.bump_centers) == 0:
+            raise BadConfig("field 'bump_centers' must give at least one center")
         if len(self.bump_centers) != len(self.alphas):
             raise BadConfig(
-                f"{len(self.bump_centers)} centers for {len(self.alphas)} alphas"
+                f"field 'alphas' gives {len(self.alphas)} values for "
+                f"{len(self.bump_centers)} bump_centers"
             )
-        if len(self.bump_centers) == 0:
-            raise BadConfig("at least one source component is required")
         for c in self.bump_centers:
             if not 0.0 < c < 1.0:
-                raise BadConfig(f"bump center {c} outside (0, 1)")
+                raise BadConfig(f"field 'bump_centers' has {c} outside (0, 1)")
         if self.basis_dim < 1:
-            raise BadConfig(f"basis_dim must be positive, got {self.basis_dim}")
+            raise BadConfig(f"field 'basis_dim' must be at least 1; got {self.basis_dim}")
         if self.ell is not None and len(self.ell) != self.n_x - 1:
             raise BadConfig(
-                f"ell must list {self.n_x - 1} interior values, got {len(self.ell)}"
+                f"field 'ell' must list {self.n_x - 1} interior values; "
+                f"got {len(self.ell)}"
             )
 
     @property
@@ -323,7 +318,8 @@ def _source_profile(cfg: EllipticConfig, center: float) -> tuple[slice, NDArray]
     mass = raw.sum() / n_x
     if mass <= 0.0:
         raise BadConfig(
-            f"bump at {center} with width {cfg.bump_width} misses every grid node"
+            f"field 'bump_width' {cfg.bump_width} at center {center} misses every "
+            "grid node"
         )
     return slice(first - 1, last), raw / mass
 
@@ -358,9 +354,7 @@ def build_elliptic_representation(
     eye = np.eye(p)
     target = np.hstack([g * eye for g in gains])
     inputm = np.hstack([a * eye for a in cfg.alphas])
-    rep = RepresentationOperator(
-        target_map=target, input_map=inputm, d=d, p=p, mixing_norm=1.0
-    )
+    rep = RepresentationOperator(target_map=target, input_map=inputm, d=d, p=p)
     meta = {
         "n_x": cfg.n_x,
         "grid_step": 1.0 / cfg.n_x,

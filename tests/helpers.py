@@ -48,7 +48,6 @@ def random_representation(
     p: int,
     p_out: int | None = None,
     q: int | None = None,
-    mixing_norm: float = 1.0,
 ) -> E.RepresentationOperator:
     p_out = int(rng.integers(1, 7)) if p_out is None else p_out
     q = int(rng.integers(1, 7)) if q is None else q
@@ -57,7 +56,6 @@ def random_representation(
         input_map=rng.standard_normal((q, d * p)),
         d=d,
         p=p,
-        mixing_norm=mixing_norm,
     )
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -38,6 +39,48 @@ def test_bundled_configs_run_clean(kind, tmp_path, capsys):
     assert (out / "series.csv").read_text().strip()
     summary = capsys.readouterr().out
     assert kind in summary
+
+
+def _series(out):
+    """series.csv as a dict of columns, numbers parsed."""
+    with open(out / "series.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
+
+
+def test_wss_envelope_worst_is_the_series_minimum(tmp_path):
+    _, report, out = _run("wss_envelope", tmp_path)
+    series = _series(out)
+    worst = int(np.argmin(series["margin"]))
+    assert report["worst_margin"] == series["margin"][worst]
+    omega = 2.0 * np.pi * series["freq_index"][worst] / report["n_freq"]
+    assert report["worst_frequency"] == pytest.approx(omega, rel=1e-15)
+
+
+def test_envelope_check_margin_is_the_bottom_of_the_series(tmp_path):
+    _, report, out = _run("envelope_check", tmp_path)
+    series = _series(out)
+    assert report["lambda_min_margin"] == series["order_eigenvalue"][0]
+    assert series["order_eigenvalue"][0] == series["order_eigenvalue"].min()
+
+
+def test_wss_filter_max_symbol_gap_is_the_series_maximum(tmp_path, monkeypatch):
+    _, report, out = _run("wss_filter", tmp_path, name="exact")
+    assert report["max_symbol_gap"] == _series(out)["gap"].max()
+    # positive control: a ratio 1% off the grid solver's symbol shows up
+    # in the statistic
+    symbol = cli.st.wiener_symbol
+
+    def off_by_one_percent(*args, **kwargs):
+        exact = symbol(*args, **kwargs)
+        return cli.st.WienerSymbol(tau=1.01 * exact.tau, flagged=exact.flagged)
+
+    monkeypatch.setattr(cli.st, "wiener_symbol", off_by_one_percent)
+    _, report, out = _run("wss_filter", tmp_path, name="off")
+    series = _series(out)
+    assert report["max_symbol_gap"] == series["gap"].max()
+    tau = np.hypot(series["tau_re"], series["tau_im"])
+    assert report["max_symbol_gap"] >= 0.005 * tau.max()
 
 
 def test_report_bytes_deterministic(tmp_path):
@@ -143,6 +186,30 @@ def test_main_subcommand_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_seed_override_on_a_seedless_kind_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.run(CONFIG_DIR / "minimize.json", out_dir=out, seed=5) == 1
+    assert "field 'seed' is not a field of kind 'minimize'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_main_offers_seed_only_to_seeded_kinds(kind, tmp_path):
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    out = tmp_path / "o"
+    argv = [kind, "--config", str(CONFIG_DIR / f"{kind}.json"), "--out", str(out)]
+    argv += ["--seed", "5"]
+    if "seed" in config:
+        assert cli.main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] == 5
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 def test_main_happy_path(tmp_path):
@@ -346,6 +413,19 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         # lags [I, I] have the spectral density (1 + 2 cos w) I, negative
         # near w = pi on any grid
         ("wss_filter", "seq", {"lags": [np.eye(2).tolist(), np.eye(2).tolist()]}),
+        # out-of-range scalars, checked by the library, name their field
+        ("verify_extremal", "shrink_floor", 1.5),
+        ("elliptic_demo", "n_x", 1),
+        ("elliptic_demo", "basis_dim", 0),
+        ("elliptic_demo", "potential", -1),
+        ("elliptic_demo", "bump_width", -0.1),
+        ("elliptic_demo", "bump_centers", [0.25, 1.5]),
+        ("elliptic_demo", "ell", [1.0, 2.0]),
+        ("minimize", "c_min", 0),
+        ("minimize", "c_min", -1),
+        # the bundled lags reach 1, so the period must be at least 4
+        ("wss_filter", "n_freq", 3),
+        ("wss_envelope", "n_freq", 2),
         # a field the kind does not know, however plausible, is not ignored
         ("minimize", "tolerance", 1e-9),
         ("minimize", "rank_tl", 1e-12),

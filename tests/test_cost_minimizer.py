@@ -84,6 +84,22 @@ def test_assemble_matches_observed_moments():
     assert sys.target_energy == pytest.approx(np.trace(kyy))
 
 
+def test_residual_norm_is_the_dense_optimality_gap():
+    rng = np.random.default_rng(4)
+    a = random_ensemble(rng, m=7, d=2, p=2)
+    rep = random_representation(rng, 2, 2, p_out=2, q=3)
+    obs = E.apply(rep, a)
+    w = obs.space.weights
+    gram = sum(wj * np.outer(xj, xj) for wj, xj in zip(w, obs.x))
+    cross = sum(wj * np.outer(yj, xj) for wj, yj, xj in zip(w, obs.y, obs.x))
+    sys = E.assemble_normal_equations(obs)
+    t0 = E.solve_pseudoinverse(sys)
+    est = E.HSOperator(coeffs=t0.coeffs + rng.standard_normal(t0.coeffs.shape))
+    dense = np.sqrt(((est.coeffs @ gram - cross) ** 2).sum())
+    assert dense > 1e-3
+    assert E.residual_norm(sys, est) == pytest.approx(dense, rel=1e-12)
+
+
 def _reweighted(obs, rows, weights):
     """The atoms obs lists at rows (repeats allowed), at the given weights."""
     return E.ObservedEnsemble(

@@ -315,30 +315,3 @@ def test_verify_extremal_depends_on_atoms_only_through_moments(seed):
         other = E.verify_extremal(variant, spec, rep, ests, seed=5, n_samples=6)
         assert other.member == base.member
         assert other.cost_reference == pytest.approx(base.cost_reference, rel=1e-12)
-
-
-def test_closure_regression_linear_path():
-    rng = np.random.default_rng(13)
-    a = random_ensemble(rng, m=4, d=1, p=3)
-    spec = random_baseline_spec(rng, 3, scale=0.1)
-    rep = random_representation(rng, 1, 3)
-    est = random_estimator(rng, rep)
-    approx = [
-        E.SourceEnsemble(space=a.space, values=(1.0 - 1.0 / n) * a.values)
-        for n in range(1, 6)
-    ]
-    report = E.closure_regression(a, approx, rep, spec, est)
-    assert report.gaps_within_bound
-    assert report.gaps[-1] < report.gaps[0]
-    assert report.distances[0] == pytest.approx(E.ensemble_norm(a))
-
-
-def test_closure_regression_exact_limit_gap_zero():
-    rng = np.random.default_rng(14)
-    a = random_ensemble(rng, m=3, d=2, p=2)
-    spec = random_baseline_spec(rng, 4, scale=0.5)
-    rep = random_representation(rng, 2, 2)
-    est = random_estimator(rng, rep)
-    report = E.closure_regression(a, [a], rep, spec, est)
-    assert report.max_gap == 0.0
-    assert report.gaps_within_bound

@@ -1,0 +1,33 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_envelope_study_runs_clean():
+    done = _script("envelope_study.py", "--samples", "5", "--estimators", "2")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "gaps within bound     True" in done.stdout
+
+
+def test_run_all_demos_seeds_only_the_seeded_kinds(tmp_path):
+    done = _script("run_all_demos.py", "--out", str(tmp_path), "--seed", "7")
+    assert done.returncode == 0, done.stdout + done.stderr
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        report = json.loads((tmp_path / config.stem / "report.json").read_text())
+        seeded = "seed" in json.loads(config.read_text())
+        assert report.get("seed") == (7 if seeded else None)
