@@ -16,7 +16,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +35,7 @@ from .errors import (
     DegenerateSpec,
     EmbeddingNotPSD,
     EnvmmError,
-    NotCoercive,
+    WrongDimension,
 )
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
@@ -44,11 +45,10 @@ ELEMENT_BUDGET = 2**27
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description: a kind plus its parameters."""
+    """Validated experiment description: a kind plus its parsed fields."""
 
     kind: str
     params: dict
-    base_dir: Path
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -59,41 +59,41 @@ class ExperimentConfig:
             raise BadConfig(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise BadConfig("config must be a JSON object")
-        kind = raw.get("kind")
+        kind = raw.pop("kind", None)
         if kind not in KINDS:
             raise BadConfig(
                 f"config field 'kind' must be one of {', '.join(KINDS)}; got {kind!r}"
             )
-        spec = _KIND_SPECS[kind]
-        missing = [f for f in spec.required if f not in raw]
+        table = _KIND_SPECS[kind].fields
+        missing = [f for f, (_, d) in table.items() if d is _REQUIRED and f not in raw]
         if missing:
             raise BadConfig(
                 f"config for kind '{kind}' is missing field(s): {', '.join(missing)}"
             )
-        for field in raw:
-            if field != "kind":
-                _check_known(kind, field)
-        params = {k: v for k, v in raw.items() if k != "kind"}
-        return cls(kind=kind, params=params, base_dir=path.parent)
+        params = {f: default for f, (_, default) in table.items()}
+        for field, value in raw.items():
+            params[field] = _parse(kind, field, value, path.parent)
+        return cls(kind=kind, params=params)
 
 
-def _check_known(kind: str, field: str) -> None:
-    spec = _KIND_SPECS[kind]
-    if field not in spec.required + spec.optional:
+def _parse(kind: str, field: str, raw, base_dir: Path):
+    """One config field through its kind's parser; every error names it."""
+    table = _KIND_SPECS[kind].fields
+    if field not in table:
         raise BadConfig(f"field '{field}' is not a field of kind '{kind}'")
+    with _field(field):
+        return table[field][0](raw, base_dir)
 
 
-def _int(params: dict, field: str, minimum: int | None = None) -> int:
-    raw = params[field]
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise BadConfig(f"field '{field}' must be an integer; got {raw!r}")
+@contextmanager
+def _field(*names: str):
+    """Re-raise an error of the block as BadConfig naming the field(s) behind it."""
     try:
-        value = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must be an integer; got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise BadConfig(f"field '{field}' must be at least {minimum}; got {value}")
-    return value
+        yield
+    except BadConfig:
+        raise
+    except (EnvmmError, OSError, OverflowError, TypeError, ValueError) as exc:
+        raise BadConfig(" or ".join(f"field '{n}'" for n in names) + f": {exc}") from exc
 
 
 def _check_budget(field: str, elements: int) -> None:
@@ -104,77 +104,101 @@ def _check_budget(field: str, elements: int) -> None:
         )
 
 
-def _float(
-    params: dict, field: str, default=None, lo: float = -np.inf, hi: float = np.inf
-) -> float:
-    """A finite number, within [lo, hi] when bounds are given."""
-    raw = params.get(field, default)
-    if isinstance(raw, bool):
-        raise BadConfig(f"field '{field}' must be a number; got {raw!r}")
-    try:
+# ---------------------------------------------------------------------------
+# field parsers: each maps a raw JSON value (and the config's directory, for
+# a CSV path) to the value a pipeline reads, or raises; _parse names the field
+
+_REQUIRED = object()
+# what JSON numbers parse to, and numpy's (bool is an int, and is refused)
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _count(minimum: int):
+    """An integer >= minimum; JSON true is not one."""
+
+    def parse(raw, base_dir: Path) -> int:
+        # x % 1 is nonzero for a fraction and nan for nan or +-inf
+        if isinstance(raw, bool) or not isinstance(raw, _REAL) or raw % 1:
+            raise TypeError(f"must be an integer; got {raw!r}")
+        if raw < minimum:
+            raise ValueError(f"must be at least {minimum}; got {raw!r}")
+        return int(raw)
+
+    return parse
+
+
+def _number(lo: float = -np.inf, hi: float = np.inf):
+    """A finite number within [lo, hi]; JSON true is not one."""
+    bounds = "" if lo == -np.inf else f" >= {lo:g}" if hi == np.inf else f" in [{lo:g}, {hi:g}]"
+
+    def parse(raw, base_dir: Path) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, _REAL):
+            raise TypeError(f"must be a number; got {raw!r}")
         value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must be a number; got {raw!r}") from exc
-    if not (np.isfinite(value) and lo <= value <= hi):
-        bounds = (
-            "" if lo == -np.inf else f" >= {lo:g}" if hi == np.inf else f" in [{lo:g}, {hi:g}]"
-        )
-        raise BadConfig(f"field '{field}' must be a finite number{bounds}; got {raw!r}")
-    return value
+        if not (np.isfinite(value) and lo <= value <= hi):
+            raise ValueError(f"must be a finite number{bounds}; got {raw!r}")
+        return value
+
+    return parse
 
 
-def _floats(params: dict, field: str) -> tuple[float, ...]:
-    raw = params[field]
-    if not isinstance(raw, list) or any(isinstance(v, bool) for v in raw):
-        raise BadConfig(f"field '{field}' must be a list of numbers; got {raw!r}")
-    try:
-        values = tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must be a list of numbers") from exc
-    if not np.isfinite(values).all():
-        raise BadConfig(f"field '{field}' must be a list of finite numbers; got {raw!r}")
-    return values
+def _numbers(raw, base_dir: Path) -> tuple[float, ...]:
+    """A list of finite numbers."""
+    if not isinstance(raw, list):
+        raise TypeError(f"must be a list of numbers; got {raw!r}")
+    return tuple(_number()(v, base_dir) for v in raw)
 
 
-def _load_ensemble(obj, base_dir: Path, field: str) -> me.SourceEnsemble:
-    if isinstance(obj, dict) and "csv" in obj:
-        if not isinstance(obj["csv"], str):
-            raise BadConfig(f"field '{field}' csv must be a path string")
-        return me.ensemble_from_csv(base_dir / obj["csv"])
-    try:
-        weights = np.asarray(obj["weights"], dtype=float)
-        values = np.asarray(obj["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must give weights and (m,d,p) values") from exc
-    if values.ndim != 3:
-        raise BadConfig(f"field '{field}' values must be nested (m, d, p)")
-    return me.SourceEnsemble(space=me.MeasureSpace(weights=weights), values=values)
+def _array(ndim: int):
+    """A nested list of finite numbers, ndim deep."""
+
+    def parse(raw, base_dir: Path) -> np.ndarray:
+        arr = np.asarray(raw, dtype=float)
+        if arr.ndim != ndim:
+            raise ValueError(f"must be {ndim}-dimensional")
+        if not np.isfinite(arr).all():
+            raise ValueError("must hold finite numbers")
+        return arr
+
+    return parse
 
 
-def _load_array(obj, field: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"field '{field}' must be a numeric array") from exc
-    if arr.ndim != ndim:
-        raise BadConfig(f"field '{field}' must be {ndim}-dimensional")
-    if not np.isfinite(arr).all():
-        raise BadConfig(f"field '{field}' must hold finite numbers")
-    return arr
+def _optional(parse):
+    """parse, with JSON null for the default None."""
+    return lambda raw, base_dir: None if raw is None else parse(raw, base_dir)
 
 
-def _load_sequence(obj, field: str) -> st.CovarianceSequence:
-    if not isinstance(obj, dict) or "lags" not in obj:
-        raise BadConfig(f"field '{field}' must give nonnegative lags")
-    return st.CovarianceSequence.from_nonneg_lags(_load_array(obj["lags"], field, 3))
+def _ensemble(raw, base_dir: Path) -> me.SourceEnsemble:
+    """Inline weights and (m, d, p) values, or a CSV path relative to the config."""
+    if isinstance(raw, dict) and "csv" in raw:
+        if not isinstance(raw["csv"], str):
+            raise TypeError("csv must be a path string")
+        return me.ensemble_from_csv(base_dir / raw["csv"])
+    if not (isinstance(raw, dict) and "weights" in raw and "values" in raw):
+        raise TypeError("must give weights and (m, d, p) values, or a csv path")
+    return me.SourceEnsemble(space=me.MeasureSpace(weights=raw["weights"]), values=raw["values"])
 
 
-def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
+def _sequence(raw, base_dir: Path) -> st.CovarianceSequence:
+    """Covariance lags 0..L, each a d x d matrix."""
+    if not (isinstance(raw, dict) and "lags" in raw):
+        raise TypeError("must give nonnegative lags")
+    return st.CovarianceSequence.from_nonneg_lags(_array(3)(raw["lags"], base_dir))
+
+
+def _baseline(raw, base_dir: Path) -> me.BaselineSpec:
+    return me.BaselineSpec(sigma_xi=_array(2)(raw, base_dir))
+
+
+def _operator(p: dict) -> rp.RepresentationOperator:
+    """The config's maps on the source's d*p coefficients."""
+    source = p["source"]
+    for field in ("target_map", "input_map"):
+        if p[field].shape[1] != source.d * source.p:
+            raise BadConfig(f"field '{field}' must have one column per source coefficient, "
+                            f"{source.d * source.p}; got {p[field].shape[1]}")
     return rp.RepresentationOperator(
-        target_map=_load_array(params["target_map"], "target_map", 2),
-        input_map=_load_array(params["input_map"], "input_map", 2),
-        d=d,
-        p=p,
+        target_map=p["target_map"], input_map=p["input_map"], d=source.d, p=source.p
     )
 
 
@@ -182,23 +206,23 @@ def _representation(params: dict, d: int, p: int) -> rp.RepresentationOperator:
 # pipelines
 
 
-def _run_envelope_check(params: dict, base_dir: Path):
-    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
-    source = _load_ensemble(params["source"], base_dir, "source")
-    candidate = _load_ensemble(params["candidate"], base_dir, "candidate")
+def _run_envelope_check(p: dict):
+    source, candidate = p["source"], p["candidate"]
     if (candidate.d, candidate.p) != (source.d, source.p):
         raise BadConfig(
             f"field 'candidate' has block shape {(candidate.d, candidate.p)}, "
             f"source has {(source.d, source.p)}"
         )
-    member, spectrum = cov.loewner_dominates(
-        me.second_moment(source), me.second_moment(candidate), tol=tol
-    )
+    with _field("source"):
+        big = me.second_moment(source)
+    with _field("candidate"):
+        small = me.second_moment(candidate)
+    member, spectrum = cov.loewner_dominates(big, small, tol=p["tol"])
     report = {
         "kind": "envelope_check",
         "member": member,
         "lambda_min_margin": float(spectrum[0]),
-        "tol": tol,
+        "tol": p["tol"],
     }
     series = [["eig_index", "order_eigenvalue"]] + [
         [i, float(v)] for i, v in enumerate(spectrum)
@@ -206,12 +230,9 @@ def _run_envelope_check(params: dict, base_dir: Path):
     return report, series, 0 if member else 2
 
 
-def _run_minimize(params: dict, base_dir: Path):
-    source = _load_ensemble(params["source"], base_dir, "source")
-    rep = _representation(params, source.d, source.p)
-    obs = rp.apply(rep, source)
+def _run_minimize(p: dict):
+    obs = rp.apply(_operator(p), p["source"])
     system = cm.assemble_normal_equations(obs)
-    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL, lo=0.0)
     report = {
         "kind": "minimize",
         "coercivity_margin": cm.coercivity_margin(system),
@@ -220,15 +241,12 @@ def _run_minimize(params: dict, base_dir: Path):
     series = [["eig_index", "gram_eigenvalue"]] + [
         [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
     ]
-    if "c_min" in params:
-        c_min = _float(params, "c_min")
-        try:
-            est = cm.solve_coercive(system, c_min)
-        except (ValueError, NotCoercive) as exc:
-            raise BadConfig(f"field 'c_min': {exc}") from exc
+    if p["c_min"] is not None:
+        with _field("c_min"):
+            est = cm.solve_coercive(system, p["c_min"])
         kernel_dim, unique = 0, True
     else:
-        outcome = cm.solution_set(system, rank_tol=rank_tol)
+        outcome = cm.solution_set(system, rank_tol=p["rank_tol"])
         if isinstance(outcome, cm.NoMinimizer):
             report.update(
                 {"no_minimizer": True, "range_violation": outcome.range_violation}
@@ -250,39 +268,33 @@ def _run_minimize(params: dict, base_dir: Path):
     return report, series, 0
 
 
-def _run_verify_extremal(params: dict, base_dir: Path):
-    source = _load_ensemble(params["source"], base_dir, "source")
-    rep = _representation(params, source.d, source.p)
-    n_operators = _int(params, "n_operators", minimum=1)
-    n_samples = _int(params, "n_samples", minimum=0)
+def _run_verify_extremal(p: dict):
+    source, spec, seed = p["source"], p["sigma_xi"], p["seed"]
+    n_operators, n_samples = p["n_operators"], p["n_samples"]
+    rep = _operator(p)
     dim = source.d * source.p
+    if spec.dim != dim:
+        raise BadConfig(f"field 'sigma_xi' must be {dim} x {dim} (source d*p); got {spec.dim}")
     # the residual-map stack W, then the sample diagonals and the cost table
     _check_budget("n_operators", n_operators * rep.p_out * max(rep.q, dim))
     _check_budget("n_samples", (n_samples + 1) * dim)
     _check_budget("n_samples", n_operators * (n_samples + 1))
-    spec = me.BaselineSpec(sigma_xi=_load_array(params["sigma_xi"], "sigma_xi", 2))
-    seed = _int(params, "seed", minimum=0)
-    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
-    shrink_floor = _float(params, "shrink_floor", 0.0, lo=0.0, hi=1.0)
     rng = np.random.default_rng(seed)
     estimators = [
         cm.HSOperator(coeffs=rng.standard_normal((rep.p_out, rep.q)))
         for _ in range(n_operators)
     ]
-    rep_report = env.verify_extremal(
-        source,
-        spec,
-        rep,
-        estimators,
-        seed=seed,
-        n_samples=n_samples,
-        tol=tol,
-        shrink_floor=shrink_floor,
-    )
+    # every other field is checked by now; what is left is the source's
+    # second moment, which can overflow
+    with _field("source"):
+        rep_report = env.verify_extremal(
+            source, spec, rep, estimators, seed=seed, n_samples=n_samples,
+            tol=p["tol"], shrink_floor=p["shrink_floor"],
+        )
     report = {
         "kind": "verify_extremal",
         "seed": seed,
-        "tol": tol,
+        "tol": p["tol"],
         "member": rep_report.member,
         "lambda_min_margin": rep_report.lambda_min_margin,
         "cost_reference": rep_report.cost_reference,
@@ -292,18 +304,15 @@ def _run_verify_extremal(params: dict, base_dir: Path):
     return report, series, 0 if rep_report.member else 2
 
 
-def _run_wss_envelope(params: dict, base_dir: Path):
-    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
-    seq_a = _load_sequence(params["seq_a"], "seq_a")
-    seq_b = _load_sequence(params["seq_b"], "seq_b")
-    n_freq = _int(params, "n_freq", minimum=1)
+def _run_wss_envelope(p: dict):
+    seq_a, seq_b, n_freq = p["seq_a"], p["seq_b"], p["n_freq"]
+    if seq_b.d != seq_a.d:
+        raise BadConfig(f"field 'seq_b' has {seq_b.d} channels, seq_a has {seq_a.d}")
     _check_budget("n_freq", n_freq * (2 * max(seq_a.max_lag, seq_b.max_lag) + 1))
-    try:
+    with _field("n_freq"):
         sa = st.spectral_density(seq_a, n_freq)
         sb = st.spectral_density(seq_b, n_freq)
-    except BadGrid as exc:
-        raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
-    ok, margins = st.wss_envelope_test(sa, sb, tol=tol)
+    ok, margins = st.wss_envelope_test(sa, sb, tol=p["tol"])
     worst = int(np.argmin(margins))
     report = {
         "kind": "wss_envelope",
@@ -311,7 +320,7 @@ def _run_wss_envelope(params: dict, base_dir: Path):
         "worst_frequency": float(sa.omegas[worst]),
         "worst_margin": float(margins[worst]),
         "n_freq": n_freq,
-        "tol": tol,
+        "tol": p["tol"],
     }
     series = [["freq_index", "margin"]] + [
         [r, float(v)] for r, v in enumerate(margins)
@@ -319,29 +328,21 @@ def _run_wss_envelope(params: dict, base_dir: Path):
     return report, series, 0 if ok else 2
 
 
-def _run_wss_filter(params: dict, base_dir: Path):
-    seq = _load_sequence(params["seq"], "seq")
-    n = _int(params, "n_freq", minimum=1)
+def _run_wss_filter(p: dict):
+    seq, n, seed = p["seq"], p["n_freq"], p["seed"]
     # the largest arrays are the atoms and their complex waves: at most
     # 2 d (n // 2 + 1) rows of n floats, beyond the n x n complex spectrum
     _check_budget("n_freq", 2 * seq.d * (n // 2 + 1) * n)
-    seed = _int(params, "seed", minimum=0)
-    rank_tol = _float(params, "rank_tol", cov.DEFAULT_RANK_RTOL, lo=0.0)
-    model = st.LTIModel.from_impulse_response(
-        _load_array(params["target_kernel"], "target_kernel", 1),
-        _load_array(params["observation_kernel"], "observation_kernel", 1),
-        n,
-    )
+    for field in ("target_kernel", "observation_kernel"):
+        if p[field].size > n:
+            raise BadConfig(f"field '{field}' has {p[field].size} taps, more than 'n_freq' = {n}")
+    model = st.LTIModel.from_impulse_response(p["target_kernel"], p["observation_kernel"], n)
     try:
-        oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=rank_tol)
-    except DegenerateSpec as exc:
-        raise BadConfig(f"field 'seq' is degenerate: {exc}") from exc
+        oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=p["rank_tol"])
     except BadGrid as exc:
         raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
-    except EmbeddingNotPSD as exc:
-        raise BadConfig(
-            f"field 'seq' is indefinite on the 'n_freq' = {n} grid: {exc}"
-        ) from exc
+    except (DegenerateSpec, EmbeddingNotPSD, WrongDimension) as exc:
+        raise BadConfig(f"field 'seq' on the 'n_freq' = {n} grid: {exc}") from exc
     report = {
         "kind": "wss_filter",
         "seed": seed,
@@ -360,37 +361,28 @@ def _run_wss_filter(params: dict, base_dir: Path):
     return report, series, 2 if oracle.no_minimizer else 0
 
 
-def _run_elliptic_demo(params: dict, base_dir: Path):
-    cfg = rp.EllipticConfig(
-        n_x=_int(params, "n_x"),
-        potential=_float(params, "potential", 0.0),
-        bump_width=(
-            None if params.get("bump_width") is None else _float(params, "bump_width")
-        ),
-        bump_centers=_floats(params, "bump_centers"),
-        alphas=_floats(params, "alphas"),
-        basis_dim=_int(params, "basis_dim"),
-        ell=None if params.get("ell") is None else _floats(params, "ell"),
-    )
+def _run_elliptic_demo(p: dict):
+    # EllipticConfig's fields share their names with the config's
+    cfg = rp.EllipticConfig(**{f.name: p[f.name] for f in fields(rp.EllipticConfig)})
+    seed, m = p["seed"], p["n_atoms"]
     _check_budget("n_x", cfg.n_x)
     _check_budget("basis_dim", cfg.d * cfg.basis_dim**2)
-    seed = _int(params, "seed", minimum=0)
-    m = _int(params, "n_atoms", minimum=1)
     _check_budget("n_atoms", m * cfg.d * cfg.basis_dim)
-    tol = _float(params, "tol", cov.DEFAULT_TOL, lo=0.0)
-    rep, meta = rp.build_elliptic_representation(cfg)
     rng = np.random.default_rng(seed)
     source = me.SourceEnsemble(
         space=me.MeasureSpace(weights=rng.uniform(0.5, 1.5, size=m)),
         values=rng.standard_normal((m, cfg.d, cfg.basis_dim)),
     )
     candidate = env.sample_dominated(source, seed + 1, 1)[0]
-    pushed_src = cov.push_forward(rep.target_map, me.second_moment(source))
-    pushed_cand = cov.push_forward(rep.target_map, me.second_moment(candidate))
-    transfer_ok, spectrum = cov.loewner_dominates(pushed_src, pushed_cand, tol=tol)
-    obs = rp.apply(rep, source)
-    system = cm.assemble_normal_equations(obs)
-    outcome = cm.solution_set(system)
+    # alphas scale the input map and ell the target map; a product of them
+    # can overflow even when each is finite
+    with _field("alphas", "ell"):
+        rep, meta = rp.build_elliptic_representation(cfg)
+        pushed_src = cov.push_forward(rep.target_map, me.second_moment(source))
+        pushed_cand = cov.push_forward(rep.target_map, me.second_moment(candidate))
+        transfer_ok, spectrum = cov.loewner_dominates(pushed_src, pushed_cand, tol=p["tol"])
+        system = cm.assemble_normal_equations(rp.apply(rep, source))
+        outcome = cm.solution_set(system)
     report = {
         "kind": "elliptic_demo",
         "seed": seed,
@@ -423,80 +415,95 @@ def _run_elliptic_demo(params: dict, base_dir: Path):
 
 @dataclass(frozen=True)
 class _KindSpec:
-    """What the driver knows of one kind: the fields a config must give,
-    the fields it may give, the summary fields, and the pipeline."""
+    """What the driver knows of one kind: each config field's parser and
+    default (_REQUIRED for a field the config must give), the summary
+    fields, and the pipeline, which reads the parsed fields."""
 
-    required: tuple[str, ...]
-    optional: tuple[str, ...]
+    fields: dict[str, tuple[Callable, object]]
     summary: tuple[str, ...]
-    pipeline: Callable[[dict, Path], tuple[dict, list, int]]
+    pipeline: Callable[[dict], tuple[dict, list, int]]
 
+
+_SEED = (_count(0), _REQUIRED)
+_TOL = (_number(0.0), cov.DEFAULT_TOL)
+_RANK_TOL = (_number(0.0), cov.DEFAULT_RANK_RTOL)
 
 _KIND_SPECS = {
     "envelope_check": _KindSpec(
-        required=("source", "candidate"),
-        optional=("tol",),
+        fields={
+            "source": (_ensemble, _REQUIRED),
+            "candidate": (_ensemble, _REQUIRED),
+            "tol": _TOL,
+        },
         summary=("member", "lambda_min_margin", "tol"),
         pipeline=_run_envelope_check,
     ),
     "minimize": _KindSpec(
-        required=("source", "target_map", "input_map"),
-        optional=("rank_tol", "c_min"),
-        summary=(
-            "no_minimizer",
-            "residual",
-            "kernel_dim",
-            "unique",
-            "hs_norm",
-            "coercivity_margin",
-            "cost",
-            "range_violation",
-        ),
+        fields={
+            "source": (_ensemble, _REQUIRED),
+            "target_map": (_array(2), _REQUIRED),
+            "input_map": (_array(2), _REQUIRED),
+            "rank_tol": _RANK_TOL,
+            # given, it selects the coercive route, which checks it is > 0
+            "c_min": (_number(), None),
+        },
+        summary=("no_minimizer", "residual", "kernel_dim", "unique", "hs_norm",
+                 "coercivity_margin", "cost", "range_violation"),
         pipeline=_run_minimize,
     ),
     "verify_extremal": _KindSpec(
-        required=(
-            "source",
-            "sigma_xi",
-            "target_map",
-            "input_map",
-            "seed",
-            "n_samples",
-            "n_operators",
-        ),
-        optional=("tol", "shrink_floor"),
+        fields={
+            "source": (_ensemble, _REQUIRED),
+            "sigma_xi": (_baseline, _REQUIRED),
+            "target_map": (_array(2), _REQUIRED),
+            "input_map": (_array(2), _REQUIRED),
+            "seed": _SEED,
+            "n_samples": (_count(0), _REQUIRED),
+            "n_operators": (_count(1), _REQUIRED),
+            "tol": _TOL,
+            "shrink_floor": (_number(0.0, 1.0), 0.0),
+        },
         summary=("member", "max_violation", "cost_reference", "lambda_min_margin"),
         pipeline=_run_verify_extremal,
     ),
     "wss_envelope": _KindSpec(
-        required=("seq_a", "seq_b", "n_freq"),
-        optional=("tol",),
+        fields={
+            "seq_a": (_sequence, _REQUIRED),
+            "seq_b": (_sequence, _REQUIRED),
+            "n_freq": (_count(1), _REQUIRED),
+            "tol": _TOL,
+        },
         summary=("member", "worst_frequency", "worst_margin"),
         pipeline=_run_wss_envelope,
     ),
     "wss_filter": _KindSpec(
-        required=("seq", "target_kernel", "observation_kernel", "n_freq", "seed"),
-        optional=("rank_tol",),
-        summary=(
-            "max_symbol_gap",
-            "flagged_count",
-            "no_minimizer",
-            "embedding_lambda_min",
-            "off_diagonal_leakage",
-        ),
+        fields={
+            "seq": (_sequence, _REQUIRED),
+            "target_kernel": (_array(1), _REQUIRED),
+            "observation_kernel": (_array(1), _REQUIRED),
+            "n_freq": (_count(1), _REQUIRED),
+            "seed": _SEED,
+            "rank_tol": _RANK_TOL,
+        },
+        summary=("max_symbol_gap", "flagged_count", "no_minimizer",
+                 "embedding_lambda_min", "off_diagonal_leakage"),
         pipeline=_run_wss_filter,
     ),
     "elliptic_demo": _KindSpec(
-        required=("n_x", "bump_centers", "alphas", "basis_dim", "seed", "n_atoms"),
-        optional=("potential", "bump_width", "ell", "tol"),
-        summary=(
-            "transfer_ok",
-            "transfer_margin",
-            "residual",
-            "kernel_dim",
-            "unique",
-            "no_minimizer",
-        ),
+        fields={
+            "n_x": (_count(2), _REQUIRED),
+            "bump_centers": (_numbers, _REQUIRED),
+            "alphas": (_numbers, _REQUIRED),
+            "basis_dim": (_count(1), _REQUIRED),
+            "seed": _SEED,
+            "n_atoms": (_count(1), _REQUIRED),
+            "potential": (_number(), 0.0),
+            "bump_width": (_optional(_number()), None),
+            "ell": (_optional(_numbers), None),
+            "tol": _TOL,
+        },
+        summary=("transfer_ok", "transfer_margin", "residual", "kernel_dim", "unique",
+                 "no_minimizer"),
         pipeline=_run_elliptic_demo,
     ),
 }
@@ -524,22 +531,6 @@ def emit_summary(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _jsonify(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    return value
-
-
 def run(
     config_path: str | Path,
     out_dir: str | Path | None = None,
@@ -560,16 +551,16 @@ def run(
             )
         params = dict(config.params)
         if seed is not None:
-            _check_known(config.kind, "seed")
-            params["seed"] = seed
+            params["seed"] = _parse(config.kind, "seed", seed, Path())
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
-        report, series, code = _KIND_SPECS[config.kind].pipeline(params, config.base_dir)
+        report, series, code = _KIND_SPECS[config.kind].pipeline(params)
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
-    (out / "report.json").write_bytes(payload.encode())
+    # numpy scalars and arrays reach the encoder only through tolist()
+    payload = json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.tolist())
+    (out / "report.json").write_bytes((payload + "\n").encode())
     with open(out / "series.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in series:
@@ -588,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(kind, help=f"run a {kind} config")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        if "seed" in spec.required:
+        if "seed" in spec.fields:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
     return run(args.config, args.out, getattr(args, "seed", None), args.command)

@@ -229,8 +229,10 @@ def wss_envelope_test(
     is the worst frequency. The verdict is
     within_slack(margins.min(), max|sa|, tol).
     """
-    if sa.n_freq != sb.n_freq or sa.d != sb.d:
+    if sa.n_freq != sb.n_freq:
         raise ShapeMismatch("spectral densities on different grids")
+    if sa.d != sb.d:
+        raise ShapeMismatch(f"channel counts differ: {sa.d} and {sb.d}")
     margins = np.linalg.eigvalsh(sa.values - sb.values)[:, 0]
     return within_slack(margins.min(), np.abs(sa.values).max(), tol), margins
 

@@ -1,13 +1,19 @@
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envmm.cli as cli
 from helpers import count_eigensolves
@@ -81,6 +87,68 @@ def test_wss_filter_max_symbol_gap_is_the_series_maximum(tmp_path, monkeypatch):
     assert report["max_symbol_gap"] == series["gap"].max()
     tau = np.hypot(series["tau_re"], series["tau_im"])
     assert report["max_symbol_gap"] >= 0.005 * tau.max()
+
+
+def _dft(n):
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n)
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-3])
+def test_wss_filter_leakage_is_the_dense_off_diagonal_maximum(perturb, tmp_path, monkeypatch):
+    # the statistic is the largest off-diagonal |entry| of F C F^-1, F the DFT
+    # matrix and C the grid solution; a non-circulant perturbation of C, one
+    # entry moved by perturb * max|C|, adds perturb * max|C| / n to every
+    # entry, which is the positive control
+    n = 16
+    config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
+    config["n_freq"] = n
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(config))
+    solve = cli.st.solve_pseudoinverse
+    solutions = []
+
+    def perturbed(*args, **kwargs):
+        coeffs = solve(*args, **kwargs).coeffs.copy()
+        coeffs[0, 1] += perturb * np.abs(coeffs).max()
+        solutions.append(coeffs)
+        return cli.cm.HSOperator(coeffs=coeffs)
+
+    monkeypatch.setattr(cli.st, "solve_pseudoinverse", perturbed)
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 0
+    leakage = json.loads((tmp_path / "o" / "report.json").read_text())["off_diagonal_leakage"]
+    (c,) = solutions
+    dense = _dft(n) @ c @ np.linalg.inv(_dft(n))
+    np.fill_diagonal(dense, 0.0)
+    scale = np.abs(c).max()
+    assert abs(leakage - np.abs(dense).max()) <= 1e-12 * scale
+    assert leakage >= 0.9 * perturb * scale / n
+
+
+def test_elliptic_transfer_failure_exits_two(tmp_path, monkeypatch):
+    # a candidate 1.5 times the source has 2.25 times its second moment S,
+    # so the pushed gap T (S - 2.25 S) T^T is negative definite on T's range
+    seen = {}
+    build = cli.rp.build_elliptic_representation
+
+    def recorded(cfg):
+        seen["rep"], meta = build(cfg)
+        return seen["rep"], meta
+
+    def scaled(source, seed, n_samples):
+        seen["source"] = source
+        return [cli.me.SourceEnsemble(space=source.space, values=1.5 * source.values)]
+
+    monkeypatch.setattr(cli.rp, "build_elliptic_representation", recorded)
+    monkeypatch.setattr(cli.env, "sample_dominated", scaled)
+    code, report, _ = _run("elliptic_demo", tmp_path)
+    assert code == 2
+    assert report["transfer_ok"] is False and report["no_minimizer"] is False
+    source, t = seen["source"], seen["rep"].target_map
+    flat = source.values.reshape(source.space.m, -1)
+    moment = (flat * source.space.weights[:, None]).T @ flat
+    gap = t @ (moment - 2.25 * moment) @ t.T
+    assert report["transfer_margin"] == pytest.approx(np.linalg.eigvalsh(gap)[0], rel=1e-12)
 
 
 def test_report_bytes_deterministic(tmp_path):
@@ -432,6 +500,26 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("envelope_check", "rank_tol", 1e-12),
         ("wss_envelope", "seed", 3),
         ("elliptic_demo", "shrink_floor", 0.5),
+        # a map must take the source's d * p coefficients
+        ("minimize", "input_map", [[1.0]]),
+        ("minimize", "target_map", [[1.0, 0.0]]),
+        ("verify_extremal", "input_map", [[1.0]]),
+        ("verify_extremal", "target_map", [[1.0] * 5]),
+        # sigma_xi is d * p square
+        ("verify_extremal", "sigma_xi", [[1.0]]),
+        # the oracle takes two channels, and wss_envelope two equal counts
+        ("wss_filter", "seq", {"lags": [np.eye(3).tolist()]}),
+        ("wss_envelope", "seq_b", {"lags": [np.eye(3).tolist()]}),
+        # a kernel holds at most n_freq = 64 taps
+        ("wss_filter", "target_kernel", [0.5] * 65),
+        ("wss_filter", "observation_kernel", [0.5] * 100),
+        # the library's ensemble checks name the ensemble's field
+        ("envelope_check", "source", {"weights": [], "values": [[[1.0, 0.0], [0.0, 1.0]]]}),
+        ("minimize", "source", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0]]] * 4}),
+        ("verify_extremal", "source", {"weights": [0.5, -0.5], "values": [[[1.0] * 3] * 2] * 2}),
+        ("envelope_check", "candidate", {"csv": "absent.csv"}),
+        # an integer too large for a float
+        pytest.param("elliptic_demo", "potential", 10**400, id="elliptic_demo-potential-10**400"),
     ],
 )
 def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
@@ -449,4 +537,83 @@ def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
     assert code == 1
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    assert peak < 32 * 2**20
+
+
+def _readme_table(header):
+    """kind -> the backquoted field names of the README table under header;
+    a parenthesized remark after the names is not read."""
+    lines = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2 :]:
+        if not line.startswith("|"):
+            break
+        kind, names = [cell.strip() for cell in line.strip("|").split("|")][:2]
+        rows[kind.strip("`")] = set(re.findall(r"`(\w+)`", names.split("(")[0]))
+    return rows
+
+
+def test_readme_field_tables_are_the_parsers():
+    required = _readme_table("| kind | fields | what it does |")
+    optional = _readme_table("| kind | optional fields |")
+    assert set(required) == set(optional) == set(cli.KINDS)
+    for kind, spec in cli._KIND_SPECS.items():
+        table = {f: default is cli._REQUIRED for f, (_, default) in spec.fields.items()}
+        assert required[kind] == {f for f, req in table.items() if req}
+        assert optional[kind] == {f for f, req in table.items() if not req}
+
+
+def _sites(node, path=()):
+    """Every field of a config, descending into the first element of each
+    nested list and every key of each nested dict."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = [(0, node[0])]
+    else:
+        return
+    for key, child in children:
+        if path + (key,) != ("kind",):
+            yield path + (key,)
+            yield from _sites(child, path + (key,))
+
+
+_MUTATION_SITES = [
+    (kind, site)
+    for kind in ALL_KINDS
+    for site in _sites(json.loads((CONFIG_DIR / f"{kind}.json").read_text()))
+]
+_BAD_VALUES = (
+    None, True, "x", -1, 0, 0.5, 1.5, 1e12, 1e308, float("nan"), float("inf"),
+    float("-inf"), 10**400, [], [1.0], [[1.0]], [[[1.0]]], {}, {"csv": "absent.csv"},
+    {"lags": [[[1.0]]]},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(_MUTATION_SITES), value=st.sampled_from(_BAD_VALUES))
+def test_one_field_mutations_exit_cleanly(site, value):
+    kind, path = site
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "mutated.json", Path(tmp) / "o"
+        cfg.write_text(json.dumps(config))
+        tracemalloc.start()
+        try:
+            # a product of 1e308 with itself overflows: the run has to exit
+            # 1 naming the field, and numpy's warning about it is not checked
+            with redirect_stdout(io.StringIO()), redirect_stderr(err), np.errstate(all="ignore"):
+                code = cli.run(cfg, out_dir=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "field '" in err.getvalue()
+            assert not (out / "report.json").exists()
     assert peak < 32 * 2**20

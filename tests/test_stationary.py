@@ -149,6 +149,15 @@ def test_wss_envelope_detects_excess():
     assert margins.min() <= -0.29
 
 
+def test_wss_envelope_names_what_differs():
+    two = E.spectral_density(_white_pair(), 8)
+    one = E.spectral_density(E.CovarianceSequence.from_nonneg_lags(np.ones((1, 1, 1))), 8)
+    with pytest.raises(E.ShapeMismatch, match="channel counts differ: 2 and 1"):
+        E.wss_envelope_test(two, one)
+    with pytest.raises(E.ShapeMismatch, match="different grids"):
+        E.wss_envelope_test(two, E.spectral_density(_white_pair(), 16))
+
+
 def test_lti_blocks_constant_filters():
     sd = E.spectral_density(_white_pair(0.5), 8)
     model = E.LTIModel.from_impulse_response([2.0], [3.0], 8)
