@@ -7,7 +7,8 @@ driver itself formats, never computes. Identical config and seed give
 byte-identical reports.
 
 Exit codes: 0 on success, 2 on a typed domain outcome (no minimizer,
-envelope violation), 1 on usage or IO problems.
+envelope violation), 1 on usage or IO problems, and on a result that is
+not finite because a config value overflows.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -183,7 +185,7 @@ def _sequence(raw, base_dir: Path) -> st.CovarianceSequence:
     """Covariance lags 0..L, each a d x d matrix."""
     if not (isinstance(raw, dict) and "lags" in raw):
         raise TypeError("must give nonnegative lags")
-    return st.CovarianceSequence.from_nonneg_lags(_array(3)(raw["lags"], base_dir))
+    return st.CovarianceSequence(lags=_array(3)(raw["lags"], base_dir))
 
 
 def _baseline(raw, base_dir: Path) -> me.BaselineSpec:
@@ -511,6 +513,19 @@ _KIND_SPECS = {
 KINDS = tuple(_KIND_SPECS)
 
 
+def _require_finite(report: dict, series: list) -> None:
+    """Refuse a NaN or an infinity before anything is written: strict JSON
+    has neither, and from a config of finite numbers one means a product
+    of them overflowed, so no verdict can be read from it."""
+    header, *rows = series
+    named = [("report", name, value) for name, value in report.items()]
+    named += [("series", name, column) for name, column in zip(header, zip(*rows))]
+    for where, name, value in named:
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise BadConfig(f"{where} field '{name}' is not finite: a config value overflows")
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -555,6 +570,7 @@ def run(
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
         report, series, code = _KIND_SPECS[config.kind].pipeline(params)
+        _require_finite(report, series)
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

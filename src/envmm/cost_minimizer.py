@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import DEFAULT_RANK_RTOL, retained
+from .covariance import DEFAULT_RANK_RTOL, hold, retained
 from .errors import NotCoercive, ShapeMismatch
 from .measure_ensemble import BaselineSpec, SourceEnsemble, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
@@ -30,11 +30,9 @@ class HSOperator:
     coeffs: NDArray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        c.flags.writeable = False
-        if c.ndim != 2:
+        hold(self, "coeffs")
+        if self.coeffs.ndim != 2:
             raise ShapeMismatch("estimator coefficients must be a matrix")
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def p_out(self) -> int:
@@ -54,9 +52,8 @@ class NormalEquationSystem:
     """First-order optimality data: gram (q x q), cross (p_out x q), energy.
 
     A minimizer T satisfies T gram = cross row by row; target_energy is
-    the constant term of the cost. A float array is held as a read-only
-    view, not copied: the caller's own array stays writeable, and the
-    system assumes it is not changed.
+    the constant term of the cost. gram and cross are held as read-only
+    views (covariance.hold), not copied.
     """
 
     gram: NDArray
@@ -64,18 +61,14 @@ class NormalEquationSystem:
     target_energy: float
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=float).view()
-        c = np.asarray(self.cross, dtype=float).view()
-        g.flags.writeable = False
-        c.flags.writeable = False
+        hold(self, "gram", "cross", view=True)
+        g, c = self.gram, self.cross
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeMismatch("gram matrix must be square")
         if c.ndim != 2 or c.shape[1] != g.shape[0]:
             raise ShapeMismatch("cross matrix columns must match the gram size")
         if self.target_energy < 0:
             raise ValueError("target energy must be nonnegative")
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "cross", c)
 
     @property
     def q(self) -> int:

@@ -6,8 +6,9 @@ major). Comparisons in the semidefinite order are quantitative: the
 verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
-symmetric PSD check, the rank rule `retained`, and the one slack rule
-`within_slack` that every domination verdict is decided by.
+symmetric PSD check, the rank rule `retained`, the one slack rule
+`within_slack` that every domination verdict is decided by, and the one
+array rule `hold` by which every value type keeps its arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,21 @@ SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_RANK_RTOL = 1e-12
 DEFAULT_TOL = 1e-9
+
+
+def hold(obj, *names: str, dtype=float, view: bool = False) -> None:
+    """Set each named field of a frozen dataclass to a read-only array.
+
+    Each field is converted to dtype and copied, so later writes into the
+    caller's array never reach it. With view=True it is a read-only view
+    instead, kept by the types that hold the oracle's n^2-sized arrays;
+    the caller's own array stays writeable and is assumed unchanged.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        arr = np.asarray(value, dtype=dtype).view() if view else np.array(value, dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
@@ -73,8 +89,8 @@ class BlockCovariance:
     p: int
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.flags.writeable = False
+        hold(self, "matrix")
+        mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeMismatch("covariance matrix must be square")
         if mat.shape[0] != self.d * self.p:
@@ -82,7 +98,6 @@ class BlockCovariance:
                 f"matrix of size {mat.shape[0]} does not factor as d*p = {self.d}*{self.p}"
             )
         check_symmetric_psd(mat)
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:

@@ -63,8 +63,9 @@ def _contractions(
     """Eigenvectors U of sigma = U diag(L) U^T and the diagonals D_s.
 
     Sample s is the contraction K_s = U diag(D_s) U^T; D_s is uniform in
-    [shrink_floor, 1], one generator call per sample in sample order, so a
-    seed picks the same samples for every caller. diags is (n_samples, dim).
+    [shrink_floor, 1]. One generator call draws every D_s, row by row in
+    sample order, so a seed picks the same samples for every caller.
+    diags is (n_samples, dim).
     """
     if not 0.0 <= shrink_floor <= 1.0:
         raise ValueError("shrink_floor must lie in [0, 1]")
@@ -72,11 +73,7 @@ def _contractions(
         raise ValueError("n_samples must be nonnegative")
     rng = np.random.default_rng(seed)
     _, evecs = np.linalg.eigh(sigma)
-    dim = sigma.shape[0]
-    diags = np.array(
-        [rng.uniform(shrink_floor, 1.0, size=dim) for _ in range(n_samples)]
-    ).reshape(n_samples, dim)
-    return evecs, diags
+    return evecs, rng.uniform(shrink_floor, 1.0, size=(n_samples, sigma.shape[0]))
 
 
 def sample_dominated(

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import BlockCovariance, check_symmetric_psd
+from .covariance import BlockCovariance, check_symmetric_psd, hold
 from .errors import ShapeMismatch
-
-
-def _freeze(arr: NDArray) -> NDArray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +33,12 @@ class MeasureSpace:
     weights: NDArray
 
     def __post_init__(self):
-        w = _freeze(self.weights)
+        hold(self, "weights")
+        w = self.weights
         if w.ndim != 1 or w.size < 1:
             raise ShapeMismatch("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("atom weights must be finite and strictly positive")
-        object.__setattr__(self, "weights", w)
 
     @property
     def m(self) -> int:
@@ -72,7 +66,8 @@ class SourceEnsemble:
     values: NDArray
 
     def __post_init__(self):
-        v = _freeze(self.values)
+        hold(self, "values")
+        v = self.values
         if v.ndim != 3:
             raise ShapeMismatch("ensemble values must have shape (m, d, p)")
         if v.shape[0] != self.space.m:
@@ -81,7 +76,6 @@ class SourceEnsemble:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "values", v)
 
     @property
     def d(self) -> int:
@@ -108,11 +102,11 @@ class BaselineSpec:
     sigma_xi: NDArray
 
     def __post_init__(self):
-        s = _freeze(self.sigma_xi)
+        hold(self, "sigma_xi")
+        s = self.sigma_xi
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeMismatch("sigma_xi must be square")
         check_symmetric_psd(s)
-        object.__setattr__(self, "sigma_xi", s)
 
     @property
     def dim(self) -> int:

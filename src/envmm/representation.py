@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .covariance import hold
 from .errors import BadConfig, BadTruncation, ShapeMismatch
 from .measure_ensemble import MeasureSpace, SourceEnsemble
 
@@ -35,22 +36,16 @@ class RepresentationOperator:
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
-        t = np.array(self.target_map, dtype=float)
-        i = np.array(self.input_map, dtype=float)
-        t.flags.writeable = False
-        i.flags.writeable = False
+        hold(self, "target_map", "input_map")
+        t, i = self.target_map, self.input_map
         if t.ndim != 2 or i.ndim != 2:
             raise ShapeMismatch("representation maps must be matrices")
         if t.shape[1] != self.d * self.p or i.shape[1] != self.d * self.p:
             raise ShapeMismatch(
                 f"maps must have {self.d * self.p} columns, got {t.shape[1]} and {i.shape[1]}"
             )
-        object.__setattr__(self, "target_map", t)
-        object.__setattr__(self, "input_map", i)
-        stacked = np.vstack([t, i])
-        object.__setattr__(
-            self, "norm_bound", float(np.linalg.norm(stacked, ord=2))
-        )
+        norm_bound = float(np.linalg.norm(np.vstack([t, i]), ord=2))
+        object.__setattr__(self, "norm_bound", norm_bound)
 
     @property
     def p_out(self) -> int:
@@ -65,8 +60,7 @@ class RepresentationOperator:
 class ObservedEnsemble:
     """Per-atom target and input coefficients: y (m, p_out), x (m, q).
 
-    A float array is held as a read-only view, not copied: the caller's
-    own array stays writeable, and the ensemble assumes it is not changed.
+    y and x are held as read-only views (covariance.hold), not copied.
     """
 
     space: MeasureSpace
@@ -74,16 +68,12 @@ class ObservedEnsemble:
     x: NDArray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).view()
-        x = np.asarray(self.x, dtype=float).view()
-        y.flags.writeable = False
-        x.flags.writeable = False
+        hold(self, "y", "x", view=True)
+        y, x = self.y, self.x
         if y.ndim != 2 or x.ndim != 2:
             raise ShapeMismatch("observed values must be matrices")
         if y.shape[0] != self.space.m or x.shape[0] != self.space.m:
             raise ShapeMismatch("observed rows must match the atom count")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
 
     @property
     def p_out(self) -> int:
@@ -210,10 +200,12 @@ class EllipticConfig:
         return len(self.bump_centers)
 
 
-def _dst1(buf: NDArray) -> NDArray:
+def _dst1(buf: NDArray, sines: NDArray) -> NDArray:
     """DST-I X_k = sum_j x_j sin(pi j k / n), j, k = 1..n-1, of x = buf[1:].
 
-    n = buf.size; buf[0] is ignored and buf is overwritten. Returns a new
+    n = buf.size; buf[0] is ignored and buf is overwritten. sines is the
+    table sines[k - 1] = sin(pi k / (2 n)), k = 1..n-1, so sin(pi j / n)
+    is sines[2 j - 1]. Returns a new
     float buffer with X in [1:n] and 0 in [0], so it can be transformed
     again as it stands. The work is one real FFT of length n of the
     folded sequence y_j = sin(pi j / n)(x_j + x_{n-j}) + (x_j - x_{n-j}) / 2
@@ -229,11 +221,7 @@ def _dst1(buf: NDArray) -> NDArray:
     half_diff = np.subtract(lo, hi)
     half_diff *= 0.5
     lo += hi
-    sines = np.arange(1.0, m + 1)
-    sines *= np.pi / n
-    np.sin(sines, out=sines)
-    lo *= sines
-    del sines
+    lo *= sines[1 : 2 * m : 2]
     np.subtract(lo, half_diff, out=hi)
     lo += half_diff
     del half_diff
@@ -259,23 +247,26 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     The difference operator is diagonal in the DST-I basis, with
     eigenvalues lam_k = (2 n_x sin(pi k / (2 n_x)))^2 + potential (the
     sin^2 form does not cancel as 2 - 2 cos does), so the solve is
-    z = (2 / n_x) DST(DST(f) / lam), exact up to round-off.
+    z = (2 / n_x) DST(DST(f) / lam), exact up to round-off. One table of
+    sin(pi k / (2 n_x)) serves lam and both transforms: fl(pi / (2 n_x))
+    is exactly fl(pi / n_x) / 2, so its odd entries are bitwise the
+    sin(pi j / n_x) each transform reads.
     """
     f = np.asarray(f, dtype=float)
     if f.size != n_x - 1:
         raise ShapeMismatch(f"expected {n_x - 1} interior values, got {f.size}")
+    sines = np.arange(1.0, n_x)
+    sines *= np.pi / (2 * n_x)
+    np.sin(sines, out=sines)
     buf = np.empty(n_x)
     buf[1:] = f.reshape(-1)
-    buf = _dst1(buf)
-    lam = np.arange(1.0, n_x)
-    lam *= np.pi / (2 * n_x)
-    np.sin(lam, out=lam)
-    lam *= 2.0 * n_x
+    buf = _dst1(buf, sines)
+    lam = sines * (2.0 * n_x)
     lam *= lam
     lam += potential
     buf[1:n_x] /= lam
     del lam
-    z = _dst1(buf[:n_x])[1:n_x]
+    z = _dst1(buf[:n_x], sines)[1:n_x]
     z *= 2.0 / n_x
     return z
 

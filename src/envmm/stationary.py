@@ -27,6 +27,7 @@ from .covariance import (
     DEFAULT_TOL,
     PSD_TOL,
     SYM_RTOL,
+    hold,
     retained,
     within_slack,
 )
@@ -43,44 +44,26 @@ from .representation import ObservedEnsemble
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSequence:
-    """Matrix covariance lags K[-L..L] with K[-tau] = K[tau]^T.
+    """Matrix covariance lags K[0..L] of jointly stationary channels.
 
-    Stored as an array of shape (2L+1, d, d); index tau + L holds lag
-    tau. Construct from the nonnegative half via from_nonneg_lags: the
-    negative half is filled in by transposition, never trusted from the
-    caller. Symmetry is checked to SYM_RTOL * max|K|.
+    Stored as the nonnegative lags, an array of shape (L+1, d, d) whose
+    index tau holds lag tau. The negative lags K[-tau] = K[tau]^T are
+    implied by transposition and never stored. Lag 0 must be symmetric
+    to SYM_RTOL * max|K|, and is held symmetrized.
     """
 
     lags: NDArray
 
     def __post_init__(self):
-        k = np.array(self.lags, dtype=float)
-        k.flags.writeable = False
-        if k.ndim != 3 or k.shape[1] != k.shape[2] or k.shape[0] % 2 != 1:
-            raise ShapeMismatch("lags must have shape (2L+1, d, d)")
-        ell = k.shape[0] // 2
-        scale = float(np.abs(k).max())
-        for tau in range(ell + 1):
-            if float(np.abs(k[ell + tau] - k[ell - tau].T).max()) > SYM_RTOL * scale:
-                raise ValueError(f"lag {tau} breaks K[-tau] = K[tau]^T")
-        object.__setattr__(self, "lags", k)
-
-    @classmethod
-    def from_nonneg_lags(cls, nonneg: NDArray) -> "CovarianceSequence":
-        nonneg = np.asarray(nonneg, dtype=float)
-        if nonneg.ndim != 3 or nonneg.shape[1] != nonneg.shape[2]:
-            raise ShapeMismatch("nonneg lags must have shape (L+1, d, d)")
-        ell = nonneg.shape[0] - 1
-        d = nonneg.shape[1]
-        scale = float(np.abs(nonneg).max())
-        if float(np.abs(nonneg[0] - nonneg[0].T).max()) > SYM_RTOL * scale:
+        hold(self, "lags")
+        k = self.lags
+        if k.ndim != 3 or k.shape[0] < 1 or k.shape[1] != k.shape[2]:
+            raise ShapeMismatch("lags must have shape (L+1, d, d)")
+        if float(np.abs(k[0] - k[0].T).max()) > SYM_RTOL * float(np.abs(k).max()):
             raise ValueError("lag 0 must be symmetric")
-        full = np.empty((2 * ell + 1, d, d))
-        full[ell] = 0.5 * (nonneg[0] + nonneg[0].T)
-        for tau in range(1, ell + 1):
-            full[ell + tau] = nonneg[tau]
-            full[ell - tau] = nonneg[tau].T
-        return cls(lags=full)
+        k.flags.writeable = True  # hold's copy, not the caller's array
+        k[0] = 0.5 * (k[0] + k[0].T)
+        k.flags.writeable = False
 
     @property
     def d(self) -> int:
@@ -88,12 +71,12 @@ class CovarianceSequence:
 
     @property
     def max_lag(self) -> int:
-        return self.lags.shape[0] // 2
+        return self.lags.shape[0] - 1
 
     def lag(self, tau: int) -> NDArray:
         if abs(tau) > self.max_lag:
             raise ShapeMismatch(f"lag {tau} beyond max lag {self.max_lag}")
-        return self.lags[self.max_lag + tau]
+        return self.lags[tau] if tau >= 0 else self.lags[-tau].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +87,12 @@ class SpectralDensity:
     values: NDArray
 
     def __post_init__(self):
-        om = np.array(self.omegas, dtype=float)
-        vals = np.array(self.values, dtype=complex)
-        om.flags.writeable = False
-        vals.flags.writeable = False
-        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
+        hold(self, "omegas")
+        hold(self, "values", dtype=complex)
+        if self.values.ndim != 3 or self.values.shape[1] != self.values.shape[2]:
             raise ShapeMismatch("spectral values must have shape (N, d, d)")
-        if om.size != vals.shape[0]:
+        if self.omegas.size != self.values.shape[0]:
             raise ShapeMismatch("grid and value counts differ")
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "values", vals)
 
     @property
     def n_freq(self) -> int:
@@ -132,14 +111,10 @@ class LTIModel:
     observation_response: NDArray
 
     def __post_init__(self):
-        h = np.array(self.target_response, dtype=complex)
-        g = np.array(self.observation_response, dtype=complex)
-        h.flags.writeable = False
-        g.flags.writeable = False
+        hold(self, "target_response", "observation_response", dtype=complex)
+        h, g = self.target_response, self.observation_response
         if h.ndim != 1 or g.ndim != 1 or h.size != g.size:
             raise ShapeMismatch("responses must be 1-d arrays of equal length")
-        object.__setattr__(self, "target_response", h)
-        object.__setattr__(self, "observation_response", g)
 
     @classmethod
     def from_impulse_response(
@@ -175,14 +150,10 @@ class WienerSymbol:
     flagged: NDArray
 
     def __post_init__(self):
-        t = np.array(self.tau, dtype=complex)
-        f = np.array(self.flagged, dtype=bool)
-        t.flags.writeable = False
-        f.flags.writeable = False
-        if t.shape != f.shape or t.ndim != 1:
+        hold(self, "tau", dtype=complex)
+        hold(self, "flagged", dtype=bool)
+        if self.tau.shape != self.flagged.shape or self.tau.ndim != 1:
             raise ShapeMismatch("tau and flags must be equal-length 1-d arrays")
-        object.__setattr__(self, "tau", t)
-        object.__setattr__(self, "flagged", f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +185,9 @@ def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
     omegas = 2.0 * np.pi * np.arange(n_freq) / n_freq
     taus = np.arange(-seq.max_lag, seq.max_lag + 1)
     phases = np.exp(-1j * np.outer(omegas, taus))
-    vals = np.einsum("rt,tij->rij", phases, seq.lags)
+    # lags -L..L in one stack, the negative half as K[-tau] = K[tau]^T
+    stacked = np.concatenate([seq.lags[:0:-1].transpose(0, 2, 1), seq.lags])
+    vals = np.einsum("rt,tij->rij", phases, stacked)
     vals = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
     return SpectralDensity(omegas=omegas, values=vals)
 
@@ -283,30 +256,23 @@ def wiener_symbol(
     return WienerSymbol(tau=tau, flagged=flagged)
 
 
-def _wrapped_lags(seq: CovarianceSequence, n: int) -> NDArray:
-    """Periodized lags c_0..c_{n-1}; exact when n >= 2 max_lag + 1."""
+def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
+    """Dense covariance of the period-n extension, time-major ordering.
+
+    Entry [(t, i), (s, j)] = c_{(t-s) mod n}[i, j], with the lags
+    periodized as c_{tau mod n} = K[tau], exact when n >= 2 max_lag + 1.
+    Its eigenvalues are exactly the union of the spectral block
+    eigenvalues on the length-n grid, which is what makes grid statements
+    exact.
+    """
     if n < 2 * seq.max_lag + 1:
         raise BadGrid(f"period {n} cannot hold lags up to {seq.max_lag}")
     d = seq.d
     wrap = np.zeros((n, d, d))
-    for tau in range(seq.max_lag + 1):
-        wrap[tau] = seq.lag(tau)
-    for tau in range(1, seq.max_lag + 1):
-        wrap[n - tau] = seq.lag(-tau)
-    return wrap
-
-
-def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
-    """Dense covariance of the period-n extension, time-major ordering.
-
-    Entry [(t, i), (s, j)] = c_{(t-s) mod n}[i, j]. Its eigenvalues are
-    exactly the union of the spectral block eigenvalues on the length-n
-    grid, which is what makes grid statements exact.
-    """
-    wrap = _wrapped_lags(seq, n)
+    for tau in range(-seq.max_lag, seq.max_lag + 1):
+        wrap[tau % n] = seq.lag(tau)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     big = wrap[idx]  # (n, n, d, d)
-    d = seq.d
     big = big.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     return 0.5 * (big + big.T)
 

@@ -94,12 +94,11 @@ def random_sequence(
     for tau in range(max_lag + 1):
         for u in range(max_lag + 1 - tau):
             nonneg[tau] += factors[u + tau] @ factors[u].T
-    return E.CovarianceSequence.from_nonneg_lags(nonneg)
+    return E.CovarianceSequence(lags=nonneg)
 
 
 def scaled_sequence(seq: E.CovarianceSequence, factor: float) -> E.CovarianceSequence:
-    nonneg = factor * seq.lags[seq.max_lag :]
-    return E.CovarianceSequence.from_nonneg_lags(nonneg)
+    return E.CovarianceSequence(lags=factor * seq.lags)
 
 
 def contracted_ensemble(

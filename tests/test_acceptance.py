@@ -256,9 +256,7 @@ def test_07_filter_ratio_agrees_with_independent_grid_solver():
         )
         report = E.circulant_oracle(seq, model, 64, seed=seed)
         worst_gap = max(worst_gap, report.max_symbol_gap)
-    white = E.CovarianceSequence.from_nonneg_lags(
-        np.array([[[1.0, 0.4], [0.4, 1.0]]])
-    )
+    white = E.CovarianceSequence(lags=np.array([[[1.0, 0.4], [0.4, 1.0]]]))
     white_report = E.circulant_oracle(
         white, E.LTIModel.from_impulse_response([0.7], [1.0], 64), 64, seed=0
     )

@@ -540,6 +540,38 @@ def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("minimize", ("target_map", 0, 0)),
+        ("verify_extremal", ("target_map", 0, 0)),
+        ("wss_filter", ("target_kernel", 0)),
+    ],
+)
+def test_overflowing_config_is_usage_error(kind, path, tmp_path, capsys):
+    # 1e308 is finite, but products of it overflow: the run exits 1 rather
+    # than write NaN or Infinity, or a verdict read from them
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1e308
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = cli.run(cfg, out_dir=out)
+    assert code == 1
+    assert "field '" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "series.csv").exists()
+
+
+def test_a_series_that_is_not_finite_names_its_column():
+    with pytest.raises(cli.BadConfig, match="series field 'gap' is not finite"):
+        cli._require_finite({"kind": "wss_filter"}, [["freq_index", "gap"], [0, 0.0], [1, np.nan]])
+
+
 def _readme_table(header):
     """kind -> the backquoted field names of the README table under header;
     a parenthesized remark after the names is not read."""

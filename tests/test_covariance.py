@@ -232,3 +232,49 @@ def test_domination_chain_transitive():
         sa, sc = E.second_moment(a), E.second_moment(c)
         ok, spectrum = E.loewner_dominates(sa, sc, tol=1e-8)
         assert ok, spectrum[0]
+
+
+def _space():
+    return E.MeasureSpace(weights=np.ones(2))
+
+
+# (value type, its array fields as fresh caller inputs of the field's dtype,
+# its other fields, whether the arrays are held as views)
+_HELD = [
+    (E.HSOperator, lambda: {"coeffs": np.ones((2, 3))}, {}, False),
+    (E.NormalEquationSystem, lambda: {"gram": np.eye(3), "cross": np.ones((2, 3))},
+     {"target_energy": 1.0}, True),
+    (E.MeasureSpace, lambda: {"weights": np.ones(2)}, {}, False),
+    (E.SourceEnsemble, lambda: {"values": np.ones((2, 1, 3))}, {"space": _space()}, False),
+    (E.BaselineSpec, lambda: {"sigma_xi": np.eye(3)}, {}, False),
+    (E.BlockCovariance, lambda: {"matrix": np.eye(4)}, {"d": 2, "p": 2}, False),
+    (E.RepresentationOperator,
+     lambda: {"target_map": np.ones((1, 4)), "input_map": np.ones((2, 4))}, {"d": 2, "p": 2}, False),
+    (E.ObservedEnsemble, lambda: {"y": np.ones((2, 1)), "x": np.ones((2, 3))},
+     {"space": _space()}, True),
+    (E.CovarianceSequence, lambda: {"lags": np.array([np.eye(2), np.ones((2, 2))])}, {}, False),
+    (E.SpectralDensity,
+     lambda: {"omegas": np.zeros(3), "values": np.ones((3, 2, 2), dtype=complex)}, {}, False),
+    (E.LTIModel, lambda: {"target_response": np.ones(4, dtype=complex),
+                          "observation_response": np.ones(4, dtype=complex)}, {}, False),
+    (E.WienerSymbol, lambda: {"tau": np.ones(3, dtype=complex), "flagged": np.zeros(3, dtype=bool)},
+     {}, False),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, inputs, fixed, view", _HELD, ids=[case[0].__name__ for case in _HELD]
+)
+def test_value_types_hold_arrays_by_one_rule(cls, inputs, fixed, view):
+    given = inputs()
+    obj = cls(**given, **fixed)
+    for name, arr in given.items():
+        held = getattr(obj, name)
+        assert not held.flags.writeable
+        assert held.dtype == arr.dtype
+        assert np.shares_memory(held, arr) == view
+        assert arr.flags.writeable
+        before = held.copy()
+        arr.fill(7)
+        if not view:
+            np.testing.assert_array_equal(held, before)

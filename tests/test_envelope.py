@@ -84,6 +84,39 @@ def test_sampler_actually_moves():
     assert E.ensemble_distance(sample, a) > 1e-3
 
 
+def test_non_dominated_candidate_costs_its_order_margin_more():
+    # the converse of the worst-case principle: B is A plus one atom of
+    # weight w and value u, so Sigma_A - Sigma_B = -w u u^T; reading along u
+    # with T = 0, B costs -spectrum[0] = w ||u||^2 more than A, whether the
+    # cost is split by moments or realized with a fitted baseline
+    rng = np.random.default_rng(21)
+    a = random_ensemble(rng, m=5, d=2, p=3)
+    w, u = 0.7, rng.standard_normal((1, 2, 3))
+    b = E.SourceEnsemble(
+        space=E.MeasureSpace(weights=np.append(a.space.weights, w)),
+        values=np.concatenate([a.values, u]),
+    )
+    member, spectrum = E.is_member(b, a)
+    assert not member
+    assert spectrum[0] == pytest.approx(-w * np.sum(u**2), rel=1e-12)
+
+    rep = E.RepresentationOperator(
+        target_map=u.reshape(1, 6) / np.linalg.norm(u),
+        input_map=rng.standard_normal((2, 6)),
+        d=2,
+        p=3,
+    )
+    est = E.HSOperator(coeffs=np.zeros((1, 2)))
+    spec = random_baseline_spec(rng, 6, scale=0.3)
+
+    def realized(ens):
+        lifted, xi = E.fit_baseline(ens, spec, seed=3)
+        return E.cost(E.apply(rep, lifted, xi), est)
+
+    for cost in (lambda ens: E.cost_decomposed(ens, spec, rep, est).total, realized):
+        assert cost(b) - cost(a) == pytest.approx(-spectrum[0], rel=1e-12)
+
+
 def test_fit_baseline_zero_spec_returns_source_unchanged():
     rng = np.random.default_rng(7)
     a = random_ensemble(rng, m=4, d=2, p=2)

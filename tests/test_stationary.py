@@ -18,7 +18,7 @@ from helpers import (
 
 def _white_pair(c12=0.5):
     k0 = np.array([[[1.0, c12], [c12, 1.0]]])
-    return E.CovarianceSequence.from_nonneg_lags(k0)
+    return E.CovarianceSequence(lags=k0)
 
 
 def test_sequence_negative_lags_by_transposition():
@@ -33,16 +33,15 @@ def test_sequence_negative_lags_by_transposition():
 def test_sequence_rejects_asymmetric_zero_lag():
     bad = np.array([[[1.0, 2.0], [0.0, 1.0]]])
     with pytest.raises(ValueError):
-        E.CovarianceSequence.from_nonneg_lags(bad)
+        E.CovarianceSequence(lags=bad)
 
 
-def test_sequence_rejects_inconsistent_pair():
-    lags = np.zeros((3, 1, 1))
-    lags[0] = 1.0  # K[-1] must equal K[1]^T = 2
-    lags[1] = 3.0
-    lags[2] = 2.0
-    with pytest.raises(ValueError):
-        E.CovarianceSequence(lags=lags)
+def test_sequence_holds_zero_lag_symmetrized():
+    lags = np.array([[[1.0, 0.5], [0.5 + 1e-15, 1.0]], [[0.2, 0.3], [0.1, 0.4]]])
+    seq = E.CovarianceSequence(lags=lags)
+    np.testing.assert_array_equal(seq.lag(0), seq.lag(0).T)
+    np.testing.assert_array_equal(seq.lag(1), lags[1])
+    np.testing.assert_array_equal(seq.lag(-1), lags[1].T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,33 +49,22 @@ def test_sequence_rejects_inconsistent_pair():
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(-8, 8),
     rel_gap=st.sampled_from([1e-9, 1e-14]),
-    through_nonneg=st.booleans(),
 )
-def test_sequence_symmetry_verdict_is_scale_free(seed, k, rel_gap, through_nonneg):
-    # one entry of lag 0 (through from_nonneg_lags) or of lag -1 (the full
-    # constructor) breaks K[-tau] = K[tau]^T by rel_gap * max|K|
+def test_sequence_symmetry_verdict_is_scale_free(seed, k, rel_gap):
+    # one entry of lag 0 breaks its symmetry by rel_gap * max|K|
     rng = np.random.default_rng(seed)
-    nonneg = rng.standard_normal((2, 2, 2))
-    nonneg[0] = nonneg[0] @ nonneg[0].T
-    full = np.array([nonneg[1].T, nonneg[0], nonneg[1]])
-    lags = nonneg if through_nonneg else full
+    lags = rng.standard_normal((2, 2, 2))
+    lags[0] = lags[0] @ lags[0].T
     lags[0, 0, 1] += rel_gap * np.abs(lags).max()
-    build = (
-        E.CovarianceSequence.from_nonneg_lags
-        if through_nonneg
-        else lambda lags: E.CovarianceSequence(lags=lags)
-    )
     if rel_gap == 1e-9:
         with pytest.raises(ValueError):
-            build(10.0**k * lags)
+            E.CovarianceSequence(lags=10.0**k * lags)
     else:
-        build(10.0**k * lags)
+        E.CovarianceSequence(lags=10.0**k * lags)
 
 
 def test_spectral_density_cosine_formula():
-    seq = E.CovarianceSequence.from_nonneg_lags(
-        np.array([[[2.0]], [[1.0]]])
-    )
+    seq = E.CovarianceSequence(lags=np.array([[[2.0]], [[1.0]]]))
     sd = E.spectral_density(seq, 16)
     np.testing.assert_allclose(
         sd.values[:, 0, 0], 2.0 + 2.0 * np.cos(sd.omegas), atol=1e-12
@@ -140,9 +128,9 @@ def test_wss_envelope_scaled_sequence_dominates():
 def test_wss_envelope_detects_excess():
     rng = np.random.default_rng(5)
     sa = random_sequence(rng, max_lag=2)
-    bumped = sa.lags[2:].copy()
+    bumped = sa.lags.copy()
     bumped[0] = bumped[0] + np.diag([0.0, 0.3])
-    sb = E.CovarianceSequence.from_nonneg_lags(bumped)
+    sb = E.CovarianceSequence(lags=bumped)
     da, db = E.spectral_density(sa, 32), E.spectral_density(sb, 32)
     ok, margins = E.wss_envelope_test(da, db)
     assert not ok
@@ -151,7 +139,7 @@ def test_wss_envelope_detects_excess():
 
 def test_wss_envelope_names_what_differs():
     two = E.spectral_density(_white_pair(), 8)
-    one = E.spectral_density(E.CovarianceSequence.from_nonneg_lags(np.ones((1, 1, 1))), 8)
+    one = E.spectral_density(E.CovarianceSequence(lags=np.ones((1, 1, 1))), 8)
     with pytest.raises(E.ShapeMismatch, match="channel counts differ: 2 and 1"):
         E.wss_envelope_test(two, one)
     with pytest.raises(E.ShapeMismatch, match="different grids"):
@@ -168,7 +156,7 @@ def test_lti_blocks_constant_filters():
 
 
 def test_lti_blocks_requires_two_channels():
-    seq = E.CovarianceSequence.from_nonneg_lags(np.array([[[1.0]]]))
+    seq = E.CovarianceSequence(lags=np.array([[[1.0]]]))
     sd = E.spectral_density(seq, 8)
     model = E.LTIModel.from_impulse_response([1.0], [1.0], 8)
     with pytest.raises(E.WrongDimension):
@@ -299,7 +287,7 @@ def _rank_one_sequence(rng, max_lag=3):
     nonneg = np.array(
         [taps[tau:] @ taps[: taps.size - tau] * np.outer(v, v) for tau in range(max_lag + 1)]
     )
-    return E.CovarianceSequence.from_nonneg_lags(nonneg)
+    return E.CovarianceSequence(lags=nonneg)
 
 
 def _atoms(evals, evecs, model, rng):
@@ -462,7 +450,7 @@ def test_embedding_verdict_is_scale_free(k, rel_gap):
     # against max|S| = 1 + rel_gap, at every scale 10^k
     c = 0.5 * (1.0 + rel_gap)
     lags = 10.0**k * np.array([np.eye(2), [[0.0, c], [c, 0.0]]])
-    seq = E.CovarianceSequence.from_nonneg_lags(lags)
+    seq = E.CovarianceSequence(lags=lags)
     model = E.LTIModel.from_impulse_response([1.0, 0.5], [1.0], 16)
     if rel_gap == 2e-8:
         with pytest.raises(E.EmbeddingNotPSD):
@@ -514,14 +502,14 @@ def test_oracle_partially_flagged_grid():
 
 def test_oracle_rejects_indefinite_extension():
     lags = np.stack([np.eye(2), np.eye(2)])
-    seq = E.CovarianceSequence.from_nonneg_lags(lags)
+    seq = E.CovarianceSequence(lags=lags)
     model = E.LTIModel.from_impulse_response([1.0], [1.0], 16)
     with pytest.raises(E.EmbeddingNotPSD):
         E.circulant_oracle(seq, model, 16, seed=0)
 
 
 def test_oracle_rejects_a_sequence_without_power():
-    seq = E.CovarianceSequence.from_nonneg_lags(np.zeros((2, 2, 2)))
+    seq = E.CovarianceSequence(lags=np.zeros((2, 2, 2)))
     model = E.LTIModel.from_impulse_response([1.0], [1.0], 16)
     with pytest.raises(E.DegenerateSpec, match="no positive spectral eigenvalue"):
         E.circulant_oracle(seq, model, 16, seed=0)
@@ -533,7 +521,7 @@ def test_oracle_grid_guards():
     model = E.LTIModel.from_impulse_response([1.0], [1.0], 9)
     with pytest.raises(E.BadGrid):
         E.circulant_oracle(seq, model, 9, seed=0)
-    scalar = E.CovarianceSequence.from_nonneg_lags(np.array([[[1.0]]]))
+    scalar = E.CovarianceSequence(lags=np.array([[[1.0]]]))
     model16 = E.LTIModel.from_impulse_response([1.0], [1.0], 16)
     with pytest.raises(E.WrongDimension):
         E.circulant_oracle(scalar, model16, 16, seed=0)
