@@ -21,7 +21,6 @@ from .cost_minimizer import (
     gram_spectrum,
     residual_norm,
     solution_set,
-    solve_coercive,
     solve_pseudoinverse,
     system_cost,
 )
@@ -39,7 +38,6 @@ from .errors import (
     DegenerateSpec,
     EmbeddingNotPSD,
     EnvmmError,
-    NotCoercive,
     ShapeMismatch,
     WrongDimension,
 )
@@ -49,9 +47,7 @@ from .measure_ensemble import (
     SourceEnsemble,
     cross_moment,
     ensemble_distance,
-    ensemble_from_csv,
     ensemble_norm,
-    ensemble_to_csv,
     second_moment,
 )
 from .representation import (

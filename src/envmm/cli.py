@@ -3,8 +3,8 @@
 Each run loads one config, dispatches on its kind, writes report.json
 and series.csv into the output directory, and prints a fixed-width
 summary. Reports contain only outputs of named package operations; the
-driver itself formats, never computes. Identical config and seed give
-byte-identical reports.
+driver itself formats, never computes. The same config, seed, numpy/BLAS
+build and BLAS thread count give byte-identical reports.
 
 Exit codes: 0 on success, 2 on a typed domain outcome (no minimizer,
 envelope violation), 1 on usage or IO problems, and on a result that is
@@ -74,17 +74,17 @@ class ExperimentConfig:
             )
         params = {f: default for f, (_, default) in table.items()}
         for field, value in raw.items():
-            params[field] = _parse(kind, field, value, path.parent)
+            params[field] = _parse(kind, field, value)
         return cls(kind=kind, params=params)
 
 
-def _parse(kind: str, field: str, raw, base_dir: Path):
+def _parse(kind: str, field: str, raw):
     """One config field through its kind's parser; every error names it."""
     table = _KIND_SPECS[kind].fields
     if field not in table:
         raise BadConfig(f"field '{field}' is not a field of kind '{kind}'")
     with _field(field):
-        return table[field][0](raw, base_dir)
+        return table[field][0](raw)
 
 
 @contextmanager
@@ -94,7 +94,7 @@ def _field(*names: str):
         yield
     except BadConfig:
         raise
-    except (EnvmmError, OSError, OverflowError, TypeError, ValueError) as exc:
+    except (EnvmmError, OverflowError, TypeError, ValueError) as exc:
         raise BadConfig(" or ".join(f"field '{n}'" for n in names) + f": {exc}") from exc
 
 
@@ -107,8 +107,8 @@ def _check_budget(field: str, elements: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# field parsers: each maps a raw JSON value (and the config's directory, for
-# a CSV path) to the value a pipeline reads, or raises; _parse names the field
+# field parsers: each maps one raw JSON value to the value a pipeline reads,
+# or raises; _parse names the field
 
 _REQUIRED = object()
 # what JSON numbers parse to, and numpy's (bool is an int, and is refused)
@@ -118,7 +118,7 @@ _REAL = (int, float, np.integer, np.floating)
 def _count(minimum: int):
     """An integer >= minimum; JSON true is not one."""
 
-    def parse(raw, base_dir: Path) -> int:
+    def parse(raw) -> int:
         # x % 1 is nonzero for a fraction and nan for nan or +-inf
         if isinstance(raw, bool) or not isinstance(raw, _REAL) or raw % 1:
             raise TypeError(f"must be an integer; got {raw!r}")
@@ -133,7 +133,7 @@ def _number(lo: float = -np.inf, hi: float = np.inf):
     """A finite number within [lo, hi]; JSON true is not one."""
     bounds = "" if lo == -np.inf else f" >= {lo:g}" if hi == np.inf else f" in [{lo:g}, {hi:g}]"
 
-    def parse(raw, base_dir: Path) -> float:
+    def parse(raw) -> float:
         if isinstance(raw, bool) or not isinstance(raw, _REAL):
             raise TypeError(f"must be a number; got {raw!r}")
         value = float(raw)
@@ -144,17 +144,17 @@ def _number(lo: float = -np.inf, hi: float = np.inf):
     return parse
 
 
-def _numbers(raw, base_dir: Path) -> tuple[float, ...]:
+def _numbers(raw) -> tuple[float, ...]:
     """A list of finite numbers."""
     if not isinstance(raw, list):
         raise TypeError(f"must be a list of numbers; got {raw!r}")
-    return tuple(_number()(v, base_dir) for v in raw)
+    return tuple(_number()(v) for v in raw)
 
 
 def _array(ndim: int):
     """A nested list of finite numbers, ndim deep."""
 
-    def parse(raw, base_dir: Path) -> np.ndarray:
+    def parse(raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
         if arr.ndim != ndim:
             raise ValueError(f"must be {ndim}-dimensional")
@@ -167,29 +167,25 @@ def _array(ndim: int):
 
 def _optional(parse):
     """parse, with JSON null for the default None."""
-    return lambda raw, base_dir: None if raw is None else parse(raw, base_dir)
+    return lambda raw: None if raw is None else parse(raw)
 
 
-def _ensemble(raw, base_dir: Path) -> me.SourceEnsemble:
-    """Inline weights and (m, d, p) values, or a CSV path relative to the config."""
-    if isinstance(raw, dict) and "csv" in raw:
-        if not isinstance(raw["csv"], str):
-            raise TypeError("csv must be a path string")
-        return me.ensemble_from_csv(base_dir / raw["csv"])
+def _ensemble(raw) -> me.SourceEnsemble:
+    """Inline weights and (m, d, p) values."""
     if not (isinstance(raw, dict) and "weights" in raw and "values" in raw):
-        raise TypeError("must give weights and (m, d, p) values, or a csv path")
+        raise TypeError("must give weights and (m, d, p) values")
     return me.SourceEnsemble(space=me.MeasureSpace(weights=raw["weights"]), values=raw["values"])
 
 
-def _sequence(raw, base_dir: Path) -> st.CovarianceSequence:
+def _sequence(raw) -> st.CovarianceSequence:
     """Covariance lags 0..L, each a d x d matrix."""
     if not (isinstance(raw, dict) and "lags" in raw):
         raise TypeError("must give nonnegative lags")
-    return st.CovarianceSequence(lags=_array(3)(raw["lags"], base_dir))
+    return st.CovarianceSequence(lags=_array(3)(raw["lags"]))
 
 
-def _baseline(raw, base_dir: Path) -> me.BaselineSpec:
-    return me.BaselineSpec(sigma_xi=_array(2)(raw, base_dir))
+def _baseline(raw) -> me.BaselineSpec:
+    return me.BaselineSpec(sigma_xi=_array(2)(raw))
 
 
 def _operator(p: dict) -> rp.RepresentationOperator:
@@ -243,27 +239,18 @@ def _run_minimize(p: dict):
     series = [["eig_index", "gram_eigenvalue"]] + [
         [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
     ]
-    if p["c_min"] is not None:
-        with _field("c_min"):
-            est = cm.solve_coercive(system, p["c_min"])
-        kernel_dim, unique = 0, True
-    else:
-        outcome = cm.solution_set(system, rank_tol=p["rank_tol"])
-        if isinstance(outcome, cm.NoMinimizer):
-            report.update(
-                {"no_minimizer": True, "range_violation": outcome.range_violation}
-            )
-            return report, series, 2
-        est = outcome.t0
-        kernel_dim = outcome.kernel_basis.shape[0]
-        unique = outcome.unique
+    outcome = cm.solution_set(system, rank_tol=p["rank_tol"])
+    if isinstance(outcome, cm.NoMinimizer):
+        report.update({"no_minimizer": True, "range_violation": outcome.range_violation})
+        return report, series, 2
+    est = outcome.t0
     report.update(
         {
             "no_minimizer": False,
             "residual": cm.residual_norm(system, est),
             "hs_norm": est.hs_norm,
-            "kernel_dim": int(kernel_dim),
-            "unique": bool(unique),
+            "kernel_dim": int(outcome.kernel_basis.shape[0]),
+            "unique": bool(outcome.unique),
             "cost": cm.system_cost(system, est),
         }
     )
@@ -345,6 +332,10 @@ def _run_wss_filter(p: dict):
         raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
     except (DegenerateSpec, EmbeddingNotPSD, WrongDimension) as exc:
         raise BadConfig(f"field 'seq' on the 'n_freq' = {n} grid: {exc}") from exc
+    except ValueError as exc:
+        # the seq passed the checks above: what is left is a kernel whose
+        # response, or the observed blocks it scales, overflows
+        raise BadConfig(f"field 'target_kernel' or field 'observation_kernel': {exc}") from exc
     report = {
         "kind": "wss_filter",
         "seed": seed,
@@ -446,8 +437,6 @@ _KIND_SPECS = {
             "target_map": (_array(2), _REQUIRED),
             "input_map": (_array(2), _REQUIRED),
             "rank_tol": _RANK_TOL,
-            # given, it selects the coercive route, which checks it is > 0
-            "c_min": (_number(), None),
         },
         summary=("no_minimizer", "residual", "kernel_dim", "unique", "hs_norm",
                  "coercivity_margin", "cost", "range_violation"),
@@ -566,7 +555,7 @@ def run(
             )
         params = dict(config.params)
         if seed is not None:
-            params["seed"] = _parse(config.kind, "seed", seed, Path())
+            params["seed"] = _parse(config.kind, "seed", seed)
         out = Path(out_dir) if out_dir is not None else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
         report, series, code = _KIND_SPECS[config.kind].pipeline(params)

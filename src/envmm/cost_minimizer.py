@@ -17,8 +17,8 @@ from typing import NamedTuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import DEFAULT_RANK_RTOL, hold, retained
-from .errors import NotCoercive, ShapeMismatch
+from .covariance import CONSISTENCY_RTOL, DEFAULT_RANK_RTOL, hold, retained, within_slack
+from .errors import ShapeMismatch
 from .measure_ensemble import BaselineSpec, SourceEnsemble, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
 
@@ -110,6 +110,9 @@ class SolutionSet:
     kernel_basis: NDArray
     unique: bool
 
+    def __post_init__(self):
+        hold(self, "kernel_basis")
+
 
 class CostSplit(NamedTuple):
     source_part: float
@@ -170,24 +173,6 @@ def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
     )
 
 
-def solve_coercive(sys: NormalEquationSystem, c_min: float) -> HSOperator:
-    """Unique minimizer under a uniform spectral lower bound.
-
-    Requires a finite c_min > 0 (else ValueError) and lambda_min(gram) >=
-    c_min, otherwise NotCoercive with the observed bottom eigenvalue. The
-    solution satisfies the a-priori bound hs_norm <= ||cross||_F / c_min.
-    """
-    if not 0 < c_min < np.inf:
-        raise ValueError(f"c_min must be positive and finite; got {c_min!r}")
-    evals, evecs = sys.eigh
-    if float(evals[0]) < c_min:
-        raise NotCoercive(
-            f"gram matrix bottom eigenvalue {evals[0]:.6e} is below c_min={c_min:.6e}"
-        )
-    coeffs = (sys.cross @ evecs) / evals[None, :] @ evecs.T
-    return HSOperator(coeffs=coeffs)
-
-
 def solve_pseudoinverse(
     sys: NormalEquationSystem, rank_tol: float = DEFAULT_RANK_RTOL
 ) -> Union[HSOperator, NoMinimizer]:
@@ -197,15 +182,16 @@ def solve_pseudoinverse(
     as zero. When the cross matrix has a component outside the retained
     range the quadratic has no minimizer and the out-of-range magnitude
     is returned as a NoMinimizer outcome instead of an exception. The
-    consistency threshold is 1e-8 * ||cross||_F, relative to the data, so
-    rescaling gram and cross together never changes the verdict.
+    verdict is within_slack(-violation, ||cross||_F, CONSISTENCY_RTOL),
+    relative to the data, so rescaling gram and cross together never
+    changes it.
     """
     evals, evecs = sys.eigh
     kept = retained(evals, rank_tol)
     cross_modes = sys.cross @ evecs
     violation = float(np.linalg.norm(cross_modes[:, ~kept], ord="fro"))
-    consistency_tol = 1e-8 * float(np.linalg.norm(sys.cross, ord="fro"))
-    if violation > consistency_tol:
+    scale = float(np.linalg.norm(sys.cross, ord="fro"))
+    if not within_slack(-violation, scale, CONSISTENCY_RTOL):
         return NoMinimizer(range_violation=violation)
     scaled = np.zeros_like(cross_modes)
     scaled[:, kept] = cross_modes[:, kept] / evals[None, kept]

@@ -7,7 +7,7 @@ verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
 symmetric PSD check, the rank rule `retained`, the one slack rule
-`within_slack` that every domination verdict is decided by, and the one
+`within_slack` that every tolerance verdict is decided by, and the one
 array rule `hold` by which every value type keeps its arrays.
 """
 
@@ -24,6 +24,9 @@ SYM_RTOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_RANK_RTOL = 1e-12
 DEFAULT_TOL = 1e-9
+# largest out-of-range part of the cross matrix, relative to ||cross||_F,
+# that still counts as a minimizer
+CONSISTENCY_RTOL = 1e-8
 
 
 def hold(obj, *names: str, dtype=float, view: bool = False) -> None:
@@ -42,14 +45,16 @@ def hold(obj, *names: str, dtype=float, view: bool = False) -> None:
 
 
 def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
-    """The one slack rule of every domination and embedding verdict.
+    """The one slack rule of every tolerance verdict.
 
     True when statistic >= -tol * max(scale, tiny) holds elementwise, with
     tiny the smallest normal float. Each verdict passes the scale of its
-    own data, so rescaling the data never changes the verdict.
+    own data, so rescaling the data never changes the verdict. A bound
+    x <= tol * scale on a nonnegative deviation x is within_slack(-x, ...).
+    NaN is never within slack.
     """
     floor = np.maximum(scale, np.finfo(float).tiny)
-    return bool(np.all(statistic >= -tol * floor))
+    return bool((statistic >= -tol * floor).all())
 
 
 def check_symmetric_psd(mat: NDArray) -> None:
@@ -57,17 +62,15 @@ def check_symmetric_psd(mat: NDArray) -> None:
 
     The matrix must be finite, symmetric to SYM_RTOL relative to
     max|entry|, and have no eigenvalue below -PSD_TOL * lambda_max. Both
-    scales are floored at the smallest normal float, as in `retained`, so
-    the zero matrix passes and rescaling never changes the verdict.
-    Violations raise DegenerateSpec.
+    are within_slack verdicts, so the zero matrix passes and rescaling
+    never changes them. Violations raise DegenerateSpec.
     """
     if not np.isfinite(mat).all():
         raise DegenerateSpec("covariance matrix must be finite")
-    tiny = np.finfo(float).tiny
-    if np.abs(mat - mat.T).max() > SYM_RTOL * max(np.abs(mat).max(), tiny):
+    if not within_slack(-np.abs(mat - mat.T).max(), np.abs(mat).max(), SYM_RTOL):
         raise DegenerateSpec("covariance matrix must be symmetric")
     evals = np.linalg.eigvalsh(mat)
-    if evals[0] < -PSD_TOL * max(evals[-1], tiny):
+    if not within_slack(evals[0], evals[-1], PSD_TOL):
         raise DegenerateSpec(
             f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
         )

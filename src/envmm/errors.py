@@ -22,10 +22,6 @@ class DegenerateSpec(EnvmmError, ValueError):
     has no positive power where some is needed."""
 
 
-class NotCoercive(EnvmmError):
-    """The Gram matrix fails the requested uniform lower bound."""
-
-
 class BadConfig(EnvmmError):
     """An experiment or builder configuration is malformed."""
 

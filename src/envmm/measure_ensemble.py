@@ -12,7 +12,6 @@ this ordering.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,46 +159,3 @@ def ensemble_distance(
     sq = np.einsum("j,jk,jk->", a.space.weights, diff, diff)
     return float(np.sqrt(max(sq, 0.0)))
 
-
-ENSEMBLE_CSV_HEADER = ["atom", "weight", "component", "coeff_index", "value"]
-
-
-def ensemble_to_csv(ens: SourceEnsemble, path) -> None:
-    """Write one row per (atom, component, coefficient). Indices are 0-based."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENSEMBLE_CSV_HEADER)
-        for j in range(ens.space.m):
-            w = repr(float(ens.space.weights[j]))
-            for i in range(ens.d):
-                for k in range(ens.p):
-                    writer.writerow([j, w, i, k, repr(float(ens.values[j, i, k]))])
-
-
-def ensemble_from_csv(path) -> SourceEnsemble:
-    """Inverse of ensemble_to_csv. Atom weights must be consistent per atom."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ENSEMBLE_CSV_HEADER:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            rows.append((int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4])))
-    if not rows:
-        raise ValueError("empty ensemble CSV")
-    m = max(r[0] for r in rows) + 1
-    d = max(r[2] for r in rows) + 1
-    p = max(r[3] for r in rows) + 1
-    weights = np.full(m, np.nan)
-    values = np.full((m, d, p), np.nan)
-    for j, w, i, k, v in rows:
-        if np.isfinite(weights[j]) and weights[j] != w:
-            raise ValueError(f"atom {j} listed with conflicting weights")
-        weights[j] = w
-        values[j, i, k] = v
-    if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(values)):
-        raise ValueError("ensemble CSV leaves entries unspecified")
-    return SourceEnsemble(space=MeasureSpace(weights=weights), values=values)

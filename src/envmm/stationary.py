@@ -48,8 +48,9 @@ class CovarianceSequence:
 
     Stored as the nonnegative lags, an array of shape (L+1, d, d) whose
     index tau holds lag tau. The negative lags K[-tau] = K[tau]^T are
-    implied by transposition and never stored. Lag 0 must be symmetric
-    to SYM_RTOL * max|K|, and is held symmetrized.
+    implied by transposition and never stored. The lags must be finite,
+    and lag 0 symmetric to SYM_RTOL * max|K| (within_slack); it is held
+    symmetrized.
     """
 
     lags: NDArray
@@ -59,7 +60,9 @@ class CovarianceSequence:
         k = self.lags
         if k.ndim != 3 or k.shape[0] < 1 or k.shape[1] != k.shape[2]:
             raise ShapeMismatch("lags must have shape (L+1, d, d)")
-        if float(np.abs(k[0] - k[0].T).max()) > SYM_RTOL * float(np.abs(k).max()):
+        if not np.isfinite(k).all():
+            raise ValueError("lags must be finite")
+        if not within_slack(-np.abs(k[0] - k[0].T).max(), np.abs(k).max(), SYM_RTOL):
             raise ValueError("lag 0 must be symmetric")
         k.flags.writeable = True  # hold's copy, not the caller's array
         k[0] = 0.5 * (k[0] + k[0].T)
@@ -171,6 +174,10 @@ class OracleReport:
     symbol_estimate: NDArray
     gaps: NDArray
 
+    def __post_init__(self):
+        hold(self, "tau", "symbol_estimate", dtype=complex)
+        hold(self, "gaps")
+
 
 def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
     """Matrix trigonometric sum of the lags on the length-n_freq grid.
@@ -235,7 +242,8 @@ def wiener_symbol(
 ) -> WienerSymbol:
     """Frequency-wise ratio syx / sxx with the zero-fill convention.
 
-    sxx must be real and nonnegative within PSD_TOL * max|sxx|. A
+    sxx must be real and nonnegative within PSD_TOL * max|sxx|
+    (within_slack). A
     frequency is flagged when covariance.retained drops its sxx, i.e. at
     or below rank_tol times the largest sxx; the symbol is zero there,
     mirroring the minimal-norm solve.
@@ -245,10 +253,10 @@ def wiener_symbol(
     if syx.shape != sxx.shape or syx.ndim != 1:
         raise ShapeMismatch("blocks must be equal-length 1-d arrays")
     scale = float(np.abs(sxx).max())
-    if float(np.abs(sxx.imag).max()) > PSD_TOL * scale:
+    if not within_slack(-np.abs(sxx.imag).max(), scale, PSD_TOL):
         raise ValueError("sxx must be real within tolerance")
     real = sxx.real
-    if float(real.min()) < -PSD_TOL * scale:
+    if not within_slack(real.min(), scale, PSD_TOL):
         raise ValueError("sxx must be nonnegative within tolerance")
     flagged = ~retained(real, rank_tol)
     tau = np.zeros_like(syx)
@@ -279,10 +287,10 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
 
 def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
     """Reject a response that is not conjugate symmetric to
-    DEFAULT_TOL * max|resp|."""
+    DEFAULT_TOL * max|resp| (within_slack)."""
     n = resp.size
     mirrored = np.conj(resp[(-np.arange(n)) % n])
-    if float(np.abs(resp - mirrored).max()) > DEFAULT_TOL * float(np.abs(resp).max()):
+    if not within_slack(-np.abs(resp - mirrored).max(), np.abs(resp).max()):
         raise ValueError(f"{name} must be conjugate symmetric (real kernel)")
 
 

@@ -202,7 +202,7 @@ def test_unknown_field_names_the_kind(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, field, value",
     [
-        ("minimize", "c_min", 1e-6),
+        ("minimize", "rank_tol", 1e-10),
         ("elliptic_demo", "ell", [1.0] * 63),
         ("verify_extremal", "shrink_floor", 0.5),
         ("wss_filter", "rank_tol", 1e-10),
@@ -457,11 +457,11 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "bump_width", float("inf")),
         ("elliptic_demo", "alphas", [1.0, float("nan")]),
         ("elliptic_demo", "ell", [float("-inf")]),
-        ("minimize", "mixing_norm", float("nan")),
-        ("minimize", "c_min", float("nan")),
-        ("minimize", "c_min", float("inf")),
+        ("minimize", "rank_tol", float("nan")),
+        ("minimize", "rank_tol", float("inf")),
+        ("wss_filter", "rank_tol", float("nan")),
         ("verify_extremal", "shrink_floor", float("nan")),
-        ("verify_extremal", "mixing_norm", float("-inf")),
+        ("verify_extremal", "shrink_floor", float("-inf")),
         ("verify_extremal", "sigma_xi", [[float("nan")]]),
         ("minimize", "target_map", [[float("inf")]]),
         ("wss_filter", "target_kernel", [float("nan"), 0.5]),
@@ -474,7 +474,7 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "potential", True),
         ("elliptic_demo", "bump_width", False),
         ("elliptic_demo", "alphas", [1.0, True]),
-        ("minimize", "mixing_norm", True),
+        ("minimize", "rank_tol", True),
         ("wss_filter", "rank_tol", True),
         # all-zero lags leave no positive spectral eigenvalue, so no atom
         ("wss_filter", "seq", {"lags": [[[0.0, 0.0], [0.0, 0.0]]]}),
@@ -489,8 +489,9 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "bump_width", -0.1),
         ("elliptic_demo", "bump_centers", [0.25, 1.5]),
         ("elliptic_demo", "ell", [1.0, 2.0]),
-        ("minimize", "c_min", 0),
-        ("minimize", "c_min", -1),
+        ("verify_extremal", "shrink_floor", -0.5),
+        # an ensemble is given inline only: an object with a CSV path is not one
+        ("minimize", "source", {"csv": "absent.csv"}),
         # the bundled lags reach 1, so the period must be at least 4
         ("wss_filter", "n_freq", 3),
         ("wss_envelope", "n_freq", 2),
@@ -546,6 +547,8 @@ def test_malformed_field_is_usage_error(kind, field, value, tmp_path, capsys):
         ("minimize", ("target_map", 0, 0)),
         ("verify_extremal", ("target_map", 0, 0)),
         ("wss_filter", ("target_kernel", 0)),
+        # the observed block |G|^2 S22 overflows inside the oracle
+        ("wss_filter", ("observation_kernel", 0)),
     ],
 )
 def test_overflowing_config_is_usage_error(kind, path, tmp_path, capsys):

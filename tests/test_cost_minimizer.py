@@ -165,19 +165,21 @@ def test_normal_equation_system_holds_read_only_views():
     assert gram.flags.writeable and cross.flags.writeable
 
 
+def _assert_coercive_solution(sys):
+    """On a coercive system the solution set is one point, within the
+    a-priori bound ||cross||_F / lambda_min(gram), and solves the normal
+    equations."""
+    out = E.solution_set(sys)
+    cross_norm = np.linalg.norm(sys.cross, "fro")
+    assert out.unique and out.kernel_basis.shape[0] == 0
+    assert out.t0.hs_norm <= cross_norm / np.linalg.eigvalsh(sys.gram)[0] + 1e-12
+    assert E.residual_norm(sys, out.t0) <= 1e-8 * (1.0 + cross_norm)
+    return out
+
+
 def test_solve_coercive_diagonal():
-    sys = _system(np.diag([2.0, 4.0]), [[2.0, 4.0]])
-    est = E.solve_coercive(sys, c_min=1.0)
-    np.testing.assert_allclose(est.coeffs, [[1.0, 1.0]], atol=1e-14)
-
-
-def test_solve_coercive_rejects_thin_spectrum():
-    sys = _system(np.diag([1.0, 1e-15]), [[1.0, 0.0]])
-    with pytest.raises(E.NotCoercive):
-        E.solve_coercive(sys, c_min=0.5)
-    for c_min in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            E.solve_coercive(sys, c_min=c_min)
+    out = _assert_coercive_solution(_system(np.diag([2.0, 4.0]), [[2.0, 4.0]]))
+    np.testing.assert_allclose(out.t0.coeffs, [[1.0, 1.0]], atol=1e-14)
 
 
 def test_solve_coercive_apriori_bound():
@@ -186,13 +188,7 @@ def test_solve_coercive_apriori_bound():
         q = int(rng.integers(1, 6))
         root = rng.standard_normal((q + 2, q))
         gram = root.T @ root + 0.5 * np.eye(q)
-        cross = rng.standard_normal((3, q))
-        sys = _system(gram, cross)
-        est = E.solve_coercive(sys, c_min=0.5)
-        assert est.hs_norm <= np.linalg.norm(cross, "fro") / 0.5 + 1e-12
-        assert E.residual_norm(sys, est) <= 1e-8 * (
-            1.0 + np.linalg.norm(cross, "fro")
-        )
+        _assert_coercive_solution(_system(gram, rng.standard_normal((3, q))))
 
 
 def test_pseudoinverse_consistent_rank_deficient():
@@ -201,6 +197,19 @@ def test_pseudoinverse_consistent_rank_deficient():
     est = E.solve_pseudoinverse(sys)
     assert isinstance(est, E.HSOperator)
     np.testing.assert_allclose(est.coeffs, [[2.0, 0.0]], atol=1e-14)
+
+
+@pytest.mark.parametrize("eps, minimizer", [(1e-6, False), (1e-10, True)])
+def test_pseudoinverse_consistency_threshold(eps, minimizer):
+    # the out-of-range part of cross is exactly eps against ||cross||_F ~ 1,
+    # on either side of the CONSISTENCY_RTOL = 1e-8 threshold
+    out = E.solve_pseudoinverse(_system(np.diag([1.0, 0.0]), [[1.0, eps]]))
+    if minimizer:
+        assert isinstance(out, E.HSOperator)
+        np.testing.assert_array_equal(out.coeffs, [[1.0, 0.0]])
+    else:
+        assert isinstance(out, E.NoMinimizer)
+        assert out.range_violation == eps
 
 
 def test_pseudoinverse_detects_out_of_range():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +262,12 @@ _HELD = [
                           "observation_response": np.ones(4, dtype=complex)}, {}, False),
     (E.WienerSymbol, lambda: {"tau": np.ones(3, dtype=complex), "flagged": np.zeros(3, dtype=bool)},
      {}, False),
+    (E.SolutionSet, lambda: {"kernel_basis": np.ones((1, 3))},
+     {"t0": E.HSOperator(coeffs=np.ones((2, 3))), "unique": False}, False),
+    (E.OracleReport, lambda: {"tau": np.ones(3, dtype=complex),
+                              "symbol_estimate": np.ones(3, dtype=complex), "gaps": np.ones(3)},
+     {"max_symbol_gap": 1.0, "flagged_count": 0, "embedding_lambda_min": 1.0, "no_minimizer": False,
+      "off_diagonal_leakage": 0.0, "target_energy_time": 1.0, "target_energy_freq": 1.0}, False),
 ]
 
 
@@ -278,3 +287,22 @@ def test_value_types_hold_arrays_by_one_rule(cls, inputs, fixed, view):
         arr.fill(7)
         if not view:
             np.testing.assert_array_equal(held, before)
+
+
+_POLICY = {"SYM_RTOL", "PSD_TOL", "DEFAULT_TOL", "DEFAULT_RANK_RTOL", "CONSISTENCY_RTOL"}
+
+
+def test_tolerances_are_named_and_compared_in_covariance_only():
+    # outside covariance.py no module writes a tolerance literal or compares
+    # against a policy constant: it passes the constant to within_slack or
+    # retained, which decide every tolerance verdict
+    for path in sorted(Path(E.__file__).parent.glob("*.py")):
+        if path.name == "covariance.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                assert not 0.0 < abs(node.value) < 1e-3, f"{where}: literal {node.value!r}"
+            if isinstance(node, ast.Compare):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                assert not names & _POLICY, f"{where}: compares against {names & _POLICY}"

@@ -138,18 +138,6 @@ def test_baseline_spec_accepts_zero():
     assert spec.dim == 3
 
 
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 2**31))
-def test_ensemble_csv_round_trip(tmp_path_factory, seed):
-    rng = np.random.default_rng(seed)
-    ens = random_ensemble(rng)
-    path = tmp_path_factory.mktemp("csv") / "ens.csv"
-    E.ensemble_to_csv(ens, path)
-    back = E.ensemble_from_csv(path)
-    np.testing.assert_array_equal(back.values, ens.values)
-    np.testing.assert_array_equal(back.space.weights, ens.space.weights)
-
-
 def test_same_as_identifies_shared_space():
     rng = np.random.default_rng(9)
     s = random_space(rng, 4)

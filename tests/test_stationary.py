@@ -36,6 +36,15 @@ def test_sequence_rejects_asymmetric_zero_lag():
         E.CovarianceSequence(lags=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sequence_rejects_nonfinite_lags(bad):
+    # a nonfinite lag 1 leaves lag 0 symmetric; the sequence is still refused,
+    # and the message says why
+    lags = np.array([np.eye(2), [[bad, 0.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="finite"):
+        E.CovarianceSequence(lags=lags)
+
+
 def test_sequence_holds_zero_lag_symmetrized():
     lags = np.array([[[1.0, 0.5], [0.5 + 1e-15, 1.0]], [[0.2, 0.3], [0.1, 0.4]]])
     seq = E.CovarianceSequence(lags=lags)
