@@ -22,7 +22,7 @@ def make_instance(rng, d, p, m):
         values=rng.standard_normal((m, d, p)),
     )
     root = rng.standard_normal((d * p, d * p))
-    spec = E.BaselineSpec(sigma_xi=0.1 * (root @ root.T) / (d * p))
+    spec = E.BlockCovariance(matrix=0.1 * (root @ root.T) / (d * p), d=1, p=d * p)
     rep = E.RepresentationOperator(
         target_map=rng.standard_normal((p, d * p)),
         input_map=rng.standard_normal((p + 1, d * p)),

@@ -34,15 +34,11 @@ from .envelope import (
 from .errors import (
     BadConfig,
     BadGrid,
-    BadTruncation,
     DegenerateSpec,
-    EmbeddingNotPSD,
     EnvmmError,
     ShapeMismatch,
-    WrongDimension,
 )
 from .measure_ensemble import (
-    BaselineSpec,
     MeasureSpace,
     SourceEnsemble,
     cross_moment,
@@ -65,7 +61,6 @@ from .stationary import (
     LTIModel,
     OracleReport,
     SpectralDensity,
-    WienerSymbol,
     circulant_matrix,
     circulant_oracle,
     lti_blocks,

@@ -31,14 +31,7 @@ from . import envelope as env
 from . import measure_ensemble as me
 from . import representation as rp
 from . import stationary as st
-from .errors import (
-    BadConfig,
-    BadGrid,
-    DegenerateSpec,
-    EmbeddingNotPSD,
-    EnvmmError,
-    WrongDimension,
-)
+from .errors import BadConfig, BadGrid, DegenerateSpec, EnvmmError, ShapeMismatch
 
 # Largest array, in float64 elements (1 GiB), that a count field may size;
 # checked before the array is built, so an oversized count exits 1.
@@ -184,8 +177,10 @@ def _sequence(raw) -> st.CovarianceSequence:
     return st.CovarianceSequence(lags=_array(3)(raw["lags"]))
 
 
-def _baseline(raw) -> me.BaselineSpec:
-    return me.BaselineSpec(sigma_xi=_array(2)(raw))
+def _baseline(raw) -> cov.BlockCovariance:
+    """sigma_xi, a plain covariance: one component of n coefficients."""
+    matrix = _array(2)(raw)
+    return cov.BlockCovariance(matrix=matrix, d=1, p=matrix.shape[0])
 
 
 def _operator(p: dict) -> rp.RepresentationOperator:
@@ -228,6 +223,21 @@ def _run_envelope_check(p: dict):
     return report, series, 0 if member else 2
 
 
+def _solution(system: cm.NormalEquationSystem, outcome) -> dict:
+    """The report fields of a solution_set outcome: the range violation
+    when there is no minimizer, else the minimal-norm minimizer's
+    residual and size and the kernel's dimension."""
+    if isinstance(outcome, cm.NoMinimizer):
+        return {"no_minimizer": True, "range_violation": outcome.range_violation}
+    return {
+        "no_minimizer": False,
+        "residual": cm.residual_norm(system, outcome.t0),
+        "hs_norm": outcome.t0.hs_norm,
+        "kernel_dim": int(outcome.kernel_basis.shape[0]),
+        "unique": bool(outcome.unique),
+    }
+
+
 def _run_minimize(p: dict):
     obs = rp.apply(_operator(p), p["source"])
     system = cm.assemble_normal_equations(obs)
@@ -240,20 +250,10 @@ def _run_minimize(p: dict):
         [i, float(v)] for i, v in enumerate(cm.gram_spectrum(system))
     ]
     outcome = cm.solution_set(system, rank_tol=p["rank_tol"])
-    if isinstance(outcome, cm.NoMinimizer):
-        report.update({"no_minimizer": True, "range_violation": outcome.range_violation})
+    report.update(_solution(system, outcome))
+    if report["no_minimizer"]:
         return report, series, 2
-    est = outcome.t0
-    report.update(
-        {
-            "no_minimizer": False,
-            "residual": cm.residual_norm(system, est),
-            "hs_norm": est.hs_norm,
-            "kernel_dim": int(outcome.kernel_basis.shape[0]),
-            "unique": bool(outcome.unique),
-            "cost": cm.system_cost(system, est),
-        }
-    )
+    report["cost"] = cm.system_cost(system, outcome.t0)
     return report, series, 0
 
 
@@ -330,7 +330,7 @@ def _run_wss_filter(p: dict):
         oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=p["rank_tol"])
     except BadGrid as exc:
         raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
-    except (DegenerateSpec, EmbeddingNotPSD, WrongDimension) as exc:
+    except (DegenerateSpec, ShapeMismatch) as exc:
         raise BadConfig(f"field 'seq' on the 'n_freq' = {n} grid: {exc}") from exc
     except ValueError as exc:
         # the seq passed the checks above: what is left is a kernel whose
@@ -384,20 +384,8 @@ def _run_elliptic_demo(p: dict):
         "transfer_ok": bool(transfer_ok),
         "transfer_margin": float(spectrum[0]),
     }
-    if isinstance(outcome, cm.NoMinimizer):
-        report.update({"no_minimizer": True, "range_violation": outcome.range_violation})
-        code = 2
-    else:
-        report.update(
-            {
-                "no_minimizer": False,
-                "residual": cm.residual_norm(system, outcome.t0),
-                "kernel_dim": int(outcome.kernel_basis.shape[0]),
-                "unique": bool(outcome.unique),
-                "hs_norm": outcome.t0.hs_norm,
-            }
-        )
-        code = 0 if transfer_ok else 2
+    report.update(_solution(system, outcome))
+    code = 0 if transfer_ok and not report["no_minimizer"] else 2
     series = [["n_in", "truncation_residual"]]
     n_out = min(rep.p_out, rep.q)
     for n_in in range(1, cfg.basis_dim + 1):
@@ -548,18 +536,21 @@ def run(
     one); command, when given, is the subcommand the kind must match.
     """
     try:
-        config = ExperimentConfig.load(config_path)
-        if command is not None and config.kind != command:
-            raise BadConfig(
-                f"config kind '{config.kind}' does not match subcommand '{command}'"
-            )
-        params = dict(config.params)
-        if seed is not None:
-            params["seed"] = _parse(config.kind, "seed", seed)
-        out = Path(out_dir) if out_dir is not None else Path.cwd()
-        out.mkdir(parents=True, exist_ok=True)
-        report, series, code = _KIND_SPECS[config.kind].pipeline(params)
-        _require_finite(report, series)
+        # an overflow is refused by _require_finite or a library check,
+        # naming its field; numpy's warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            config = ExperimentConfig.load(config_path)
+            if command is not None and config.kind != command:
+                raise BadConfig(
+                    f"config kind '{config.kind}' does not match subcommand '{command}'"
+                )
+            params = dict(config.params)
+            if seed is not None:
+                params["seed"] = _parse(config.kind, "seed", seed)
+            out = Path(out_dir) if out_dir is not None else Path.cwd()
+            out.mkdir(parents=True, exist_ok=True)
+            report, series, code = _KIND_SPECS[config.kind].pipeline(params)
+            _require_finite(report, series)
     except (EnvmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,11 @@ from typing import NamedTuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import CONSISTENCY_RTOL, DEFAULT_RANK_RTOL, hold, retained, within_slack
+from .covariance import (
+    CONSISTENCY_RTOL, DEFAULT_RANK_RTOL, BlockCovariance, hold, retained, within_slack,
+)
 from .errors import ShapeMismatch
-from .measure_ensemble import BaselineSpec, SourceEnsemble, second_moment
+from .measure_ensemble import SourceEnsemble, ensemble_distance, ensemble_norm, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
 
 
@@ -131,7 +133,7 @@ def cost(obs: ObservedEnsemble, est: HSOperator) -> float:
 
 
 def residual_map(
-    spec: BaselineSpec, rep: RepresentationOperator, est: HSOperator
+    spec: BlockCovariance, rep: RepresentationOperator, est: HSOperator
 ) -> NDArray:
     """W = target_map - T input_map, once est and spec fit the operator."""
     if (est.p_out, est.q) != (rep.p_out, rep.q):
@@ -143,7 +145,7 @@ def residual_map(
 
 def cost_decomposed(
     a: SourceEnsemble,
-    spec: BaselineSpec,
+    spec: BlockCovariance,
     rep: RepresentationOperator,
     est: HSOperator,
 ) -> CostSplit:
@@ -158,7 +160,7 @@ def cost_decomposed(
     w = residual_map(spec, rep, est)
     sig_a = second_moment(a).matrix
     source_part = float(np.einsum("ik,kl,il->", w, sig_a, w))
-    baseline_part = float(np.einsum("ik,kl,il->", w, spec.sigma_xi, w))
+    baseline_part = float(np.einsum("ik,kl,il->", w, spec.matrix, w))
     return CostSplit(source_part, baseline_part, source_part + baseline_part)
 
 
@@ -249,8 +251,6 @@ def cost_difference_bound(
     makes this dominate |cost(a1) - cost(a2)| for any shared baseline;
     the max factor keeps it monotone in the estimator size.
     """
-    from .measure_ensemble import ensemble_distance, ensemble_norm
-
     dist = ensemble_distance(a1, a2)
     scale = ensemble_norm(a1) + ensemble_norm(a2)
     return float(

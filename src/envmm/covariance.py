@@ -6,7 +6,7 @@ major). Comparisons in the semidefinite order are quantitative: the
 verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
-symmetric PSD check, the rank rule `retained`, the one slack rule
+PSD rule of BlockCovariance, the rank rule `retained`, the one slack rule
 `within_slack` that every tolerance verdict is decided by, and the one
 array rule `hold` by which every value type keeps its arrays.
 """
@@ -57,25 +57,6 @@ def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
     return bool((statistic >= -tol * floor).all())
 
 
-def check_symmetric_psd(mat: NDArray) -> None:
-    """Symmetry and PSD rule for one covariance matrix.
-
-    The matrix must be finite, symmetric to SYM_RTOL relative to
-    max|entry|, and have no eigenvalue below -PSD_TOL * lambda_max. Both
-    are within_slack verdicts, so the zero matrix passes and rescaling
-    never changes them. Violations raise DegenerateSpec.
-    """
-    if not np.isfinite(mat).all():
-        raise DegenerateSpec("covariance matrix must be finite")
-    if not within_slack(-np.abs(mat - mat.T).max(), np.abs(mat).max(), SYM_RTOL):
-        raise DegenerateSpec("covariance matrix must be symmetric")
-    evals = np.linalg.eigvalsh(mat)
-    if not within_slack(evals[0], evals[-1], PSD_TOL):
-        raise DegenerateSpec(
-            f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
-        )
-
-
 def retained(evals: NDArray, rank_tol: float = DEFAULT_RANK_RTOL) -> NDArray:
     """Mask of eigenvalues above rank_tol times the largest (floored at the
     smallest normal float); relative, so rescaling never changes it."""
@@ -85,7 +66,15 @@ def retained(evals: NDArray, rank_tol: float = DEFAULT_RANK_RTOL) -> NDArray:
 
 @dataclass(frozen=True, eq=False)
 class BlockCovariance:
-    """Symmetric PSD matrix with its block layout (d components, p coeffs)."""
+    """Symmetric PSD matrix with its block layout (d components, p coeffs).
+
+    The package's one PSD rule: the matrix must be finite, symmetric to
+    SYM_RTOL relative to max|entry|, and have no eigenvalue below
+    -PSD_TOL * lambda_max. Both are within_slack verdicts, so the zero
+    matrix passes and rescaling never changes them. Violations raise
+    DegenerateSpec. A plain n x n covariance, such as the baseline
+    sigma_xi, takes the single-component layout d = 1, p = n.
+    """
 
     matrix: NDArray
     d: int
@@ -100,7 +89,15 @@ class BlockCovariance:
             raise ShapeMismatch(
                 f"matrix of size {mat.shape[0]} does not factor as d*p = {self.d}*{self.p}"
             )
-        check_symmetric_psd(mat)
+        if not np.isfinite(mat).all():
+            raise DegenerateSpec("covariance matrix must be finite")
+        if not within_slack(-np.abs(mat - mat.T).max(), np.abs(mat).max(), SYM_RTOL):
+            raise DegenerateSpec("covariance matrix must be symmetric")
+        evals = np.linalg.eigvalsh(mat)
+        if not within_slack(evals[0], evals[-1], PSD_TOL):
+            raise DegenerateSpec(
+                f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
+            )
 
     @property
     def dim(self) -> int:

@@ -16,9 +16,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cost_minimizer import HSOperator, residual_map
-from .covariance import DEFAULT_TOL, loewner_dominates, retained, within_slack
+from .covariance import DEFAULT_TOL, BlockCovariance, loewner_dominates, retained, within_slack
 from .errors import ShapeMismatch
-from .measure_ensemble import BaselineSpec, MeasureSpace, SourceEnsemble, second_moment
+from .measure_ensemble import MeasureSpace, SourceEnsemble, second_moment
 from .representation import RepresentationOperator
 
 
@@ -118,7 +118,7 @@ def _ones_fixing_orthogonal(n: int, rng: np.random.Generator) -> NDArray:
 
 
 def fit_baseline(
-    a: SourceEnsemble, spec: BaselineSpec, seed: int
+    a: SourceEnsemble, spec: BlockCovariance, seed: int
 ) -> tuple[SourceEnsemble, SourceEnsemble]:
     """Realize a perturbation with prescribed second moment, uncorrelated
     with the source.
@@ -135,7 +135,7 @@ def fit_baseline(
     """
     if spec.dim != a.d * a.p:
         raise ShapeMismatch("baseline spec dimension does not match the ensemble")
-    evals, evecs = np.linalg.eigh(spec.sigma_xi)
+    evals, evecs = np.linalg.eigh(spec.matrix)
     kept = retained(evals)
     rank = int(kept.sum())
     m, d, p = a.space.m, a.d, a.p
@@ -167,7 +167,7 @@ def fit_baseline(
 
 def verify_extremal(
     a: SourceEnsemble,
-    spec: BaselineSpec,
+    spec: BlockCovariance,
     rep: RepresentationOperator,
     estimators: list[HSOperator],
     seed: int,
@@ -209,7 +209,7 @@ def verify_extremal(
 
     w = np.stack([residual_map(spec, rep, est) for est in estimators])
     weights = ((w @ evecs) ** 2).sum(axis=1) * evals
-    baseline = ((w @ spec.sigma_xi) * w).sum(axis=(1, 2))
+    baseline = ((w @ spec.matrix) * w).sum(axis=(1, 2))
     costs = weights @ squares.T + baseline[:, None]
     refs = costs[:, 0]
     violations = (costs - refs[:, None]).max(axis=1)

@@ -10,11 +10,8 @@ class EnvmmError(Exception):
 
 
 class ShapeMismatch(EnvmmError):
-    """Operands live on incompatible spaces or have incompatible shapes."""
-
-
-class BadTruncation(EnvmmError):
-    """Truncation level outside the valid range for the object."""
+    """Operands live on incompatible spaces or have incompatible shapes,
+    including a truncation level or channel count out of range."""
 
 
 class DegenerateSpec(EnvmmError, ValueError):
@@ -28,11 +25,3 @@ class BadConfig(EnvmmError):
 
 class BadGrid(EnvmmError):
     """A frequency grid is too coarse for the covariance sequence."""
-
-
-class EmbeddingNotPSD(EnvmmError):
-    """The periodic extension of a covariance sequence is indefinite."""
-
-
-class WrongDimension(EnvmmError):
-    """An operation restricted to a fixed channel count got something else."""

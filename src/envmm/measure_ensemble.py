@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .covariance import BlockCovariance, check_symmetric_psd, hold
+from .covariance import BlockCovariance, hold
 from .errors import ShapeMismatch
 
 
@@ -90,38 +90,12 @@ class SourceEnsemble:
         return self.values.reshape(self.space.m, self.d * self.p)
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineSpec:
-    """Target second moment for a perturbation process.
-
-    sigma_xi must pass BlockCovariance's rule, check_symmetric_psd;
-    violations raise DegenerateSpec at construction.
-    """
-
-    sigma_xi: NDArray
-
-    def __post_init__(self):
-        hold(self, "sigma_xi")
-        s = self.sigma_xi
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ShapeMismatch("sigma_xi must be square")
-        check_symmetric_psd(s)
-
-    @property
-    def dim(self) -> int:
-        return self.sigma_xi.shape[0]
-
-
-def _raw_second_moment(weights: NDArray, flat: NDArray) -> NDArray:
-    mat = (flat * weights[:, None]).T @ flat
-    # symmetrize away matmul round-off so downstream PSD checks are clean
-    return 0.5 * (mat + mat.T)
-
-
 def second_moment(ens: SourceEnsemble) -> BlockCovariance:
     """Weighted raw second moment sum_j w_j vec(a_j) vec(a_j)^T."""
-    mat = _raw_second_moment(ens.space.weights, ens.flat_values)
-    return BlockCovariance(matrix=mat, d=ens.d, p=ens.p)
+    flat = ens.flat_values
+    mat = (flat * ens.space.weights[:, None]).T @ flat
+    # symmetrize away matmul round-off so downstream PSD checks are clean
+    return BlockCovariance(matrix=0.5 * (mat + mat.T), d=ens.d, p=ens.p)
 
 
 def cross_moment(

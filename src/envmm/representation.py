@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .covariance import hold
-from .errors import BadConfig, BadTruncation, ShapeMismatch
+from .errors import BadConfig, ShapeMismatch
 from .measure_ensemble import MeasureSpace, SourceEnsemble
 
 
@@ -127,9 +127,9 @@ def truncation_residual(
     first n_in coefficients; in particular exactly zero at n_in = p.
     """
     if not 1 <= n_in <= rep.p:
-        raise BadTruncation(f"n_in {n_in} outside 1..{rep.p}")
+        raise ShapeMismatch(f"n_in {n_in} outside 1..{rep.p}")
     if not 1 <= n_out <= min(rep.p_out, rep.q):
-        raise BadTruncation(f"n_out {n_out} outside 1..{min(rep.p_out, rep.q)}")
+        raise ShapeMismatch(f"n_out {n_out} outside 1..{min(rep.p_out, rep.q)}")
     if (a.d, a.p) != (rep.d, rep.p):
         raise ShapeMismatch("ensemble blocks do not match the operator")
     tail = a.values.copy()

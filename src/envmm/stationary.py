@@ -31,13 +31,7 @@ from .covariance import (
     retained,
     within_slack,
 )
-from .errors import (
-    BadGrid,
-    DegenerateSpec,
-    EmbeddingNotPSD,
-    ShapeMismatch,
-    WrongDimension,
-)
+from .errors import BadGrid, DegenerateSpec, ShapeMismatch
 from .measure_ensemble import MeasureSpace
 from .representation import ObservedEnsemble
 
@@ -86,20 +80,20 @@ class CovarianceSequence:
 class SpectralDensity:
     """Hermitian d x d matrix per grid frequency omega_r = 2 pi r / N."""
 
-    omegas: NDArray
     values: NDArray
 
     def __post_init__(self):
-        hold(self, "omegas")
         hold(self, "values", dtype=complex)
         if self.values.ndim != 3 or self.values.shape[1] != self.values.shape[2]:
             raise ShapeMismatch("spectral values must have shape (N, d, d)")
-        if self.omegas.size != self.values.shape[0]:
-            raise ShapeMismatch("grid and value counts differ")
 
     @property
     def n_freq(self) -> int:
-        return self.omegas.size
+        return self.values.shape[0]
+
+    @property
+    def omegas(self) -> NDArray:
+        return 2.0 * np.pi * np.arange(self.n_freq) / self.n_freq
 
     @property
     def d(self) -> int:
@@ -142,24 +136,6 @@ class LTIModel:
 
 
 @dataclass(frozen=True, eq=False)
-class WienerSymbol:
-    """Frequency-wise estimator ratio with a degeneracy flag per frequency.
-
-    Flagged frequencies carry no observation energy; the minimal-norm
-    convention puts the symbol to zero there.
-    """
-
-    tau: NDArray
-    flagged: NDArray
-
-    def __post_init__(self):
-        hold(self, "tau", dtype=complex)
-        hold(self, "flagged", dtype=bool)
-        if self.tau.shape != self.flagged.shape or self.tau.ndim != 1:
-            raise ShapeMismatch("tau and flags must be equal-length 1-d arrays")
-
-
-@dataclass(frozen=True, eq=False)
 class OracleReport:
     """Agreement between the grid solver and the frequency-wise ratio."""
 
@@ -196,7 +172,7 @@ def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
     stacked = np.concatenate([seq.lags[:0:-1].transpose(0, 2, 1), seq.lags])
     vals = np.einsum("rt,tij->rij", phases, stacked)
     vals = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    return SpectralDensity(omegas=omegas, values=vals)
+    return SpectralDensity(values=vals)
 
 
 def wss_envelope_test(
@@ -226,7 +202,7 @@ def lti_blocks(
     Syy = |H|^2 K11, Syx = H conj(G) K12, Sxx = |G|^2 K22.
     """
     if source.d != 2:
-        raise WrongDimension(f"two channels required, got d={source.d}")
+        raise ShapeMismatch(f"two channels required, got d={source.d}")
     if source.n_freq != model.n_freq:
         raise ShapeMismatch("spectral density and model grids differ")
     h = model.target_response
@@ -239,14 +215,15 @@ def lti_blocks(
 
 def wiener_symbol(
     syx: NDArray, sxx: NDArray, rank_tol: float = DEFAULT_RANK_RTOL
-) -> WienerSymbol:
+) -> tuple[NDArray, NDArray]:
     """Frequency-wise ratio syx / sxx with the zero-fill convention.
 
     sxx must be real and nonnegative within PSD_TOL * max|sxx|
-    (within_slack). A
-    frequency is flagged when covariance.retained drops its sxx, i.e. at
-    or below rank_tol times the largest sxx; the symbol is zero there,
-    mirroring the minimal-norm solve.
+    (within_slack). Returns (tau, flagged), the complex symbol and a
+    boolean flag per frequency. A frequency is flagged when
+    covariance.retained drops its sxx, i.e. at or below rank_tol times
+    the largest sxx; it carries no observation energy, and the symbol is
+    zero there, mirroring the minimal-norm solve.
     """
     syx = np.asarray(syx, dtype=complex)
     sxx = np.asarray(sxx, dtype=complex)
@@ -261,7 +238,7 @@ def wiener_symbol(
     flagged = ~retained(real, rank_tol)
     tau = np.zeros_like(syx)
     np.divide(syx, real, out=tau, where=~flagged)
-    return WienerSymbol(tau=tau, flagged=flagged)
+    return tau, flagged
 
 
 def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
@@ -372,14 +349,16 @@ def circulant_oracle(
     mode, assembles the time-domain normal equations from it, solves
     them, and reads the solution's symbol off its DFT diagonal. The
     report compares that symbol against the frequency-wise ratio; the two
-    routes share no code beyond the spectral blocks. EmbeddingNotPSD is
+    routes share no code beyond the spectral blocks. DegenerateSpec is
     raised when the bottom spectral block eigenvalue fails within_slack
     at the scale max|S| of the spectral density S, so rescaling the
-    sequence never changes it; DegenerateSpec when no eigenvalue of the
-    half spectrum is positive, so that there is no atom to assemble.
+    sequence never changes it, and when no eigenvalue of the half
+    spectrum is positive, so that there is no atom to assemble. The
+    frequency-wise ratio is formed, and its blocks checked, before any
+    atom is built or any phase drawn.
     """
     if seq.d != 2:
-        raise WrongDimension(f"two channels required, got d={seq.d}")
+        raise ShapeMismatch(f"two channels required, got d={seq.d}")
     if n < 2 * seq.max_lag + 2:
         raise BadGrid(
             f"period {n} too short for lags up to {seq.max_lag}; need >= {2 * seq.max_lag + 2}"
@@ -393,7 +372,7 @@ def circulant_oracle(
     evals, evecs = np.linalg.eigh(sd.values)
     emb_min = float(evals[:, 0].min())
     if not within_slack(emb_min, np.abs(sd.values).max()):
-        raise EmbeddingNotPSD(
+        raise DegenerateSpec(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"
         )
@@ -403,11 +382,11 @@ def circulant_oracle(
             "grid, so there is no atom to observe"
         )
 
+    syy, syx, sxx = lti_blocks(sd, model)
+    tau, flagged = wiener_symbol(syx, sxx, rank_tol=rank_tol)
+
     rng = np.random.default_rng(seed)
     system = assemble_normal_equations(_fourier_atoms(evals, evecs, model, rng))
-
-    syy, syx, sxx = lti_blocks(sd, model)
-    symbol = wiener_symbol(syx, sxx, rank_tol=rank_tol)
 
     solution = solve_pseudoinverse(system, rank_tol=rank_tol)
     if isinstance(solution, NoMinimizer):
@@ -421,16 +400,16 @@ def circulant_oracle(
         leakage = float(np.abs(lam_freq).max())
         solver_failed = False
 
-    gaps = np.abs(symbol_estimate - symbol.tau)
+    gaps = np.abs(symbol_estimate - tau)
     return OracleReport(
         max_symbol_gap=float(gaps.max()),
-        flagged_count=int(symbol.flagged.sum()),
+        flagged_count=int(flagged.sum()),
         embedding_lambda_min=emb_min,
-        no_minimizer=solver_failed or bool(symbol.flagged.all()),
+        no_minimizer=solver_failed or bool(flagged.all()),
         off_diagonal_leakage=leakage,
         target_energy_time=system.target_energy,
         target_energy_freq=float(np.sum(syy.real)),
-        tau=symbol.tau,
+        tau=tau,
         symbol_estimate=symbol_estimate,
         gaps=gaps,
     )

@@ -36,10 +36,16 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarr
     return scale * (root @ root.T) / n
 
 
-def random_baseline_spec(
+def baseline(matrix) -> E.BlockCovariance:
+    """sigma_xi in the single-component layout the CLI gives it."""
+    matrix = np.asarray(matrix, dtype=float)
+    return E.BlockCovariance(matrix=matrix, d=1, p=matrix.shape[0])
+
+
+def random_baseline(
     rng: np.random.Generator, dim: int, scale: float = 1.0
-) -> E.BaselineSpec:
-    return E.BaselineSpec(sigma_xi=random_psd(rng, dim, scale=scale))
+) -> E.BlockCovariance:
+    return baseline(random_psd(rng, dim, scale=scale))
 
 
 def random_representation(

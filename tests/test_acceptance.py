@@ -15,9 +15,10 @@ import acceptance_log
 import envmm as E
 import envmm.cli as cli
 from helpers import (
+    baseline,
     coefficient_diagonal_representation,
     contracted_ensemble,
-    random_baseline_spec,
+    random_baseline,
     random_ensemble,
     random_estimator,
     random_representation,
@@ -46,7 +47,7 @@ def test_01_worst_case_attained_on_dominated_samples():
         p = int(rng.integers(1, 9))
         m = int(rng.integers(1, 65))
         a = random_ensemble(rng, m=m, d=d, p=p)
-        spec = random_baseline_spec(rng, d * p, scale=0.5)
+        spec = random_baseline(rng, d * p, scale=0.5)
         rep = random_representation(rng, d, p)
         ests = [random_estimator(rng, rep) for _ in range(5)]
         report = E.verify_extremal(
@@ -82,7 +83,7 @@ def test_02_cost_invariant_across_baseline_realizations():
     worst_cross = 0.0
     for k in range(50):
         a = random_ensemble(rng)
-        spec = random_baseline_spec(rng, a.d * a.p)
+        spec = random_baseline(rng, a.d * a.p)
         rep = random_representation(rng, a.d, a.p)
         est = random_estimator(rng, rep)
         costs = []
@@ -107,7 +108,7 @@ def test_03_decomposition_matches_realized_cost():
     worst = 0.0
     for k in range(100):
         a = random_ensemble(rng)
-        spec = random_baseline_spec(rng, a.d * a.p)
+        spec = random_baseline(rng, a.d * a.p)
         rep = random_representation(rng, a.d, a.p)
         est = random_estimator(rng, rep, scale=float(rng.uniform(0.2, 2.0)))
         lifted, xi = E.fit_baseline(a, spec, seed=k)
@@ -359,7 +360,7 @@ def test_11_cost_gap_within_continuity_bound():
         )
         rep = random_representation(rng, a1.d, a1.p)
         est = random_estimator(rng, rep, scale=float(10.0 ** rng.uniform(-1, 0.7)))
-        spec = E.BaselineSpec(sigma_xi=np.zeros((a1.d * a1.p,) * 2))
+        spec = baseline(np.zeros((a1.d * a1.p,) * 2))
         gap = abs(
             E.cost_decomposed(a1, spec, rep, est).source_part
             - E.cost_decomposed(a2, spec, rep, est).source_part
@@ -377,7 +378,7 @@ def test_11_cost_gap_within_continuity_bound():
         target_map=np.array([[1.0]]), input_map=np.array([[-1.0]]), d=1, p=1
     )
     est = E.HSOperator(coeffs=np.array([[1.0]]))
-    spec = E.BaselineSpec(sigma_xi=np.zeros((1, 1)))
+    spec = baseline(np.zeros((1, 1)))
     gap = abs(
         E.cost_decomposed(a1, spec, rep, est).source_part
         - E.cost_decomposed(a2, spec, rep, est).source_part

@@ -78,8 +78,8 @@ def test_wss_filter_max_symbol_gap_is_the_series_maximum(tmp_path, monkeypatch):
     symbol = cli.st.wiener_symbol
 
     def off_by_one_percent(*args, **kwargs):
-        exact = symbol(*args, **kwargs)
-        return cli.st.WienerSymbol(tau=1.01 * exact.tau, flagged=exact.flagged)
+        tau, flagged = symbol(*args, **kwargs)
+        return 1.01 * tau, flagged
 
     monkeypatch.setattr(cli.st, "wiener_symbol", off_by_one_percent)
     _, report, out = _run("wss_filter", tmp_path, name="off")
@@ -199,11 +199,18 @@ def test_unknown_field_names_the_kind(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _pinned(kind, field, value, tag):
+    """A list- or dict-valued case under a fixed id. pytest would number
+    such a value by its position in the list, so deleting an earlier case
+    would rename it; each tag kept here is the name it was first run under."""
+    return pytest.param(kind, field, value, id=f"{kind}-{field}-{tag}")
+
+
 @pytest.mark.parametrize(
     "kind, field, value",
     [
         ("minimize", "rank_tol", 1e-10),
-        ("elliptic_demo", "ell", [1.0] * 63),
+        _pinned("elliptic_demo", "ell", [1.0] * 63, "value1"),
         ("verify_extremal", "shrink_floor", 0.5),
         ("wss_filter", "rank_tol", 1e-10),
     ],
@@ -411,7 +418,7 @@ def test_summary_lines_are_stable(tmp_path, capsys):
     [
         ("verify_extremal", "n_samples", None),
         ("verify_extremal", "n_samples", -3),
-        ("verify_extremal", "seed", [1]),
+        _pinned("verify_extremal", "seed", [1], "value2"),
         ("verify_extremal", "seed", -1),
         ("verify_extremal", "n_operators", None),
         ("verify_extremal", "n_operators", 0),
@@ -419,11 +426,11 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("verify_extremal", "shrink_floor", None),
         ("verify_extremal", "tol", "tight"),
         ("elliptic_demo", "bump_centers", 0.5),
-        ("elliptic_demo", "alphas", [None]),
+        _pinned("elliptic_demo", "alphas", [None], "value10"),
         ("elliptic_demo", "seed", None),
         ("elliptic_demo", "n_atoms", 0),
         ("elliptic_demo", "ell", 3),
-        ("wss_filter", "target_kernel", [[1.0]]),
+        _pinned("wss_filter", "target_kernel", [[1.0]], "value14"),
         # integral but oversized counts hit the element budget before any
         # array they size is allocated
         ("verify_extremal", "n_samples", 1e12),
@@ -435,7 +442,8 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_envelope", "n_freq", 1e12),
         ("wss_filter", "n_freq", 1e308),
         # a block layout (d, p) = (1, 4) against the source's (2, 2)
-        ("envelope_check", "candidate", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0, 0.0]]]}),
+        _pinned("envelope_check", "candidate",
+                {"weights": [1.0], "values": [[[1.0, 0.0, 0.0, 0.0]]]}, "value23"),
         # JSON true is not a count
         ("verify_extremal", "n_samples", True),
         ("elliptic_demo", "n_atoms", True),
@@ -455,43 +463,44 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("elliptic_demo", "potential", float("inf")),
         ("elliptic_demo", "potential", float("nan")),
         ("elliptic_demo", "bump_width", float("inf")),
-        ("elliptic_demo", "alphas", [1.0, float("nan")]),
-        ("elliptic_demo", "ell", [float("-inf")]),
+        _pinned("elliptic_demo", "alphas", [1.0, float("nan")], "value39"),
+        _pinned("elliptic_demo", "ell", [float("-inf")], "value40"),
         ("minimize", "rank_tol", float("nan")),
         ("minimize", "rank_tol", float("inf")),
         ("wss_filter", "rank_tol", float("nan")),
         ("verify_extremal", "shrink_floor", float("nan")),
         ("verify_extremal", "shrink_floor", float("-inf")),
-        ("verify_extremal", "sigma_xi", [[float("nan")]]),
-        ("minimize", "target_map", [[float("inf")]]),
-        ("wss_filter", "target_kernel", [float("nan"), 0.5]),
-        ("wss_filter", "seq", {"lags": [[[float("nan")]]]}),
-        ("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}),
+        _pinned("verify_extremal", "sigma_xi", [[float("nan")]], "value46"),
+        _pinned("minimize", "target_map", [[float("inf")]], "value47"),
+        _pinned("wss_filter", "target_kernel", [float("nan"), 0.5], "value48"),
+        _pinned("wss_filter", "seq", {"lags": [[[float("nan")]]]}, "value49"),
+        _pinned("wss_envelope", "seq_a", {"lags": [[[float("inf")]]]}, "value50"),
         # the atoms and their complex waves, 2 d (n // 2 + 1) n elements: at
         # d = 2, n = 8192 is the first over the budget, so 8193 is over too
         ("wss_filter", "n_freq", 8193),
         # JSON true is not a number either
         ("elliptic_demo", "potential", True),
         ("elliptic_demo", "bump_width", False),
-        ("elliptic_demo", "alphas", [1.0, True]),
+        _pinned("elliptic_demo", "alphas", [1.0, True], "value54"),
         ("minimize", "rank_tol", True),
         ("wss_filter", "rank_tol", True),
         # all-zero lags leave no positive spectral eigenvalue, so no atom
-        ("wss_filter", "seq", {"lags": [[[0.0, 0.0], [0.0, 0.0]]]}),
+        _pinned("wss_filter", "seq", {"lags": [[[0.0, 0.0], [0.0, 0.0]]]}, "value57"),
         # lags [I, I] have the spectral density (1 + 2 cos w) I, negative
         # near w = pi on any grid
-        ("wss_filter", "seq", {"lags": [np.eye(2).tolist(), np.eye(2).tolist()]}),
+        _pinned("wss_filter", "seq", {"lags": [np.eye(2).tolist(), np.eye(2).tolist()]},
+                "value58"),
         # out-of-range scalars, checked by the library, name their field
         ("verify_extremal", "shrink_floor", 1.5),
         ("elliptic_demo", "n_x", 1),
         ("elliptic_demo", "basis_dim", 0),
         ("elliptic_demo", "potential", -1),
         ("elliptic_demo", "bump_width", -0.1),
-        ("elliptic_demo", "bump_centers", [0.25, 1.5]),
-        ("elliptic_demo", "ell", [1.0, 2.0]),
+        _pinned("elliptic_demo", "bump_centers", [0.25, 1.5], "value64"),
+        _pinned("elliptic_demo", "ell", [1.0, 2.0], "value65"),
         ("verify_extremal", "shrink_floor", -0.5),
         # an ensemble is given inline only: an object with a CSV path is not one
-        ("minimize", "source", {"csv": "absent.csv"}),
+        _pinned("minimize", "source", {"csv": "absent.csv"}, "value67"),
         # the bundled lags reach 1, so the period must be at least 4
         ("wss_filter", "n_freq", 3),
         ("wss_envelope", "n_freq", 2),
@@ -502,23 +511,26 @@ def test_summary_lines_are_stable(tmp_path, capsys):
         ("wss_envelope", "seed", 3),
         ("elliptic_demo", "shrink_floor", 0.5),
         # a map must take the source's d * p coefficients
-        ("minimize", "input_map", [[1.0]]),
-        ("minimize", "target_map", [[1.0, 0.0]]),
-        ("verify_extremal", "input_map", [[1.0]]),
-        ("verify_extremal", "target_map", [[1.0] * 5]),
+        _pinned("minimize", "input_map", [[1.0]], "value75"),
+        _pinned("minimize", "target_map", [[1.0, 0.0]], "value76"),
+        _pinned("verify_extremal", "input_map", [[1.0]], "value77"),
+        _pinned("verify_extremal", "target_map", [[1.0] * 5], "value78"),
         # sigma_xi is d * p square
-        ("verify_extremal", "sigma_xi", [[1.0]]),
+        _pinned("verify_extremal", "sigma_xi", [[1.0]], "value79"),
         # the oracle takes two channels, and wss_envelope two equal counts
-        ("wss_filter", "seq", {"lags": [np.eye(3).tolist()]}),
-        ("wss_envelope", "seq_b", {"lags": [np.eye(3).tolist()]}),
+        _pinned("wss_filter", "seq", {"lags": [np.eye(3).tolist()]}, "value80"),
+        _pinned("wss_envelope", "seq_b", {"lags": [np.eye(3).tolist()]}, "value81"),
         # a kernel holds at most n_freq = 64 taps
-        ("wss_filter", "target_kernel", [0.5] * 65),
-        ("wss_filter", "observation_kernel", [0.5] * 100),
+        _pinned("wss_filter", "target_kernel", [0.5] * 65, "value82"),
+        _pinned("wss_filter", "observation_kernel", [0.5] * 100, "value83"),
         # the library's ensemble checks name the ensemble's field
-        ("envelope_check", "source", {"weights": [], "values": [[[1.0, 0.0], [0.0, 1.0]]]}),
-        ("minimize", "source", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0]]] * 4}),
-        ("verify_extremal", "source", {"weights": [0.5, -0.5], "values": [[[1.0] * 3] * 2] * 2}),
-        ("envelope_check", "candidate", {"csv": "absent.csv"}),
+        _pinned("envelope_check", "source", {"weights": [], "values": [[[1.0, 0.0], [0.0, 1.0]]]},
+                "value84"),
+        _pinned("minimize", "source", {"weights": [1.0], "values": [[[1.0, 0.0, 0.0]]] * 4},
+                "value85"),
+        _pinned("verify_extremal", "source",
+                {"weights": [0.5, -0.5], "values": [[[1.0] * 3] * 2] * 2}, "value86"),
+        _pinned("envelope_check", "candidate", {"csv": "absent.csv"}, "value87"),
         # an integer too large for a float
         pytest.param("elliptic_demo", "potential", 10**400, id="elliptic_demo-potential-10**400"),
     ],
@@ -562,12 +574,30 @@ def test_overflowing_config_is_usage_error(kind, path, tmp_path, capsys):
     cfg = tmp_path / "overflow.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
-        code = cli.run(cfg, out_dir=out)
+    code = cli.run(cfg, out_dir=out)
     assert code == 1
-    assert "field '" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "field '" in err and err.count("\n") == 1
     assert not (out / "report.json").exists()
     assert not (out / "series.csv").exists()
+
+
+def test_overflowing_kernel_is_refused_before_the_atoms(tmp_path, monkeypatch, capsys):
+    # |G|^2 S22 overflows: wiener_symbol refuses the observed blocks, which
+    # the oracle checks before it builds a single Fourier atom, and stderr
+    # carries the one-line error only, no numpy warning
+    config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
+    config["observation_kernel"][0] = 1e308
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(config))
+    built = []
+    atoms = cli.st._fourier_atoms
+    monkeypatch.setattr(cli.st, "_fourier_atoms", lambda *a: built.append(a) or atoms(*a))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'target_kernel' or field 'observation_kernel'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert built == []
 
 
 def test_a_series_that_is_not_finite_names_its_column():
@@ -641,8 +671,8 @@ def test_one_field_mutations_exit_cleanly(site, value):
         tracemalloc.start()
         try:
             # a product of 1e308 with itself overflows: the run has to exit
-            # 1 naming the field, and numpy's warning about it is not checked
-            with redirect_stdout(io.StringIO()), redirect_stderr(err), np.errstate(all="ignore"):
+            # 1 naming the field, and let no numpy warning out
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 code = cli.run(cfg, out_dir=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

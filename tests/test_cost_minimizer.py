@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import envmm as E
 from helpers import (
+    baseline,
     contracted_ensemble,
-    random_baseline_spec,
+    random_baseline,
     random_ensemble,
     random_estimator,
     random_representation,
@@ -303,7 +304,7 @@ def test_cost_decomposed_matches_realized():
     worst = 0.0
     for _ in range(25):
         a = random_ensemble(rng)
-        spec = random_baseline_spec(rng, a.d * a.p)
+        spec = random_baseline(rng, a.d * a.p)
         rep = random_representation(rng, a.d, a.p)
         est = random_estimator(rng, rep)
         lifted, xi = E.fit_baseline(a, spec, seed=int(rng.integers(1 << 30)))
@@ -324,7 +325,7 @@ def test_cost_decomposed_zero_residual_map():
     rep = E.RepresentationOperator(
         target_map=target, input_map=np.eye(3), d=1, p=3
     )
-    spec = random_baseline_spec(rng, 3)
+    spec = random_baseline(rng, 3)
     est = E.HSOperator(coeffs=target)
     split = E.cost_decomposed(a, spec, rep, est)
     assert split.total == pytest.approx(0.0, abs=1e-20)
@@ -333,7 +334,7 @@ def test_cost_decomposed_zero_residual_map():
 def test_cost_decomposed_no_baseline():
     rng = np.random.default_rng(9)
     a = random_ensemble(rng, m=3, d=1, p=2)
-    spec = E.BaselineSpec(sigma_xi=np.zeros((2, 2)))
+    spec = baseline(np.zeros((2, 2)))
     rep = random_representation(rng, 1, 2)
     est = random_estimator(rng, rep)
     split = E.cost_decomposed(a, spec, rep, est)
@@ -348,7 +349,7 @@ def test_source_part_monotone_under_domination():
     for _ in range(30):
         a = random_ensemble(rng, d=2, p=2)
         b = contracted_ensemble(rng, a)
-        spec = E.BaselineSpec(sigma_xi=np.zeros((4, 4)))
+        spec = baseline(np.zeros((4, 4)))
         rep = random_representation(rng, 2, 2)
         est = random_estimator(rng, rep)
         ha = E.cost_decomposed(a, spec, rep, est).source_part
@@ -383,7 +384,7 @@ def test_difference_bound_sign_cancellation_case():
         p=1,
     )
     est = E.HSOperator(coeffs=np.array([[1.0]]))
-    spec = E.BaselineSpec(sigma_xi=np.zeros((1, 1)))
+    spec = baseline(np.zeros((1, 1)))
     h1 = E.cost_decomposed(a1, spec, rep, est).source_part
     h2 = E.cost_decomposed(a2, spec, rep, est).source_part
     gap = abs(h1 - h2)
@@ -402,7 +403,7 @@ def test_difference_bound_holds_generically(seed):
     )
     rep = random_representation(rng, a1.d, a1.p)
     est = random_estimator(rng, rep, scale=float(rng.uniform(0.1, 3.0)))
-    spec = E.BaselineSpec(sigma_xi=np.zeros((a1.d * a1.p,) * 2))
+    spec = baseline(np.zeros((a1.d * a1.p,) * 2))
     h1 = E.cost_decomposed(a1, spec, rep, est).source_part
     h2 = E.cost_decomposed(a2, spec, rep, est).source_part
     assert abs(h1 - h2) <= E.cost_difference_bound(a1, a2, rep, est)

@@ -58,11 +58,9 @@ def test_construction_rejects_asymmetric():
     ],
 )
 def test_block_covariance_and_baseline_spec_share_one_rule(matrix, accepted):
-    builders = [
-        lambda: _cov(matrix, 1, 2),
-        lambda: E.BaselineSpec(sigma_xi=matrix),
-    ]
-    for build in builders:
+    # a baseline sigma_xi is a BlockCovariance in the layout d = 1, p = n;
+    # the rule reads the matrix only, whatever its layout
+    for build in (lambda: _cov(matrix, 1, 2), lambda: _cov(matrix, 2, 1)):
         if accepted:
             build()
         else:
@@ -94,7 +92,7 @@ def test_block_covariance_and_baseline_spec_verdicts_are_scale_free(
     if defect == "sym":
         mat[0, 1] += factor * SYM_RTOL * np.abs(mat).max()
     mat = 10.0**k * mat
-    for build in (lambda: _cov(mat, 2, 2), lambda: E.BaselineSpec(sigma_xi=mat)):
+    for build in (lambda: _cov(mat, 2, 2), lambda: _cov(mat, 1, 4)):
         if accepted:
             build()
         else:
@@ -249,19 +247,15 @@ _HELD = [
      {"target_energy": 1.0}, True),
     (E.MeasureSpace, lambda: {"weights": np.ones(2)}, {}, False),
     (E.SourceEnsemble, lambda: {"values": np.ones((2, 1, 3))}, {"space": _space()}, False),
-    (E.BaselineSpec, lambda: {"sigma_xi": np.eye(3)}, {}, False),
     (E.BlockCovariance, lambda: {"matrix": np.eye(4)}, {"d": 2, "p": 2}, False),
     (E.RepresentationOperator,
      lambda: {"target_map": np.ones((1, 4)), "input_map": np.ones((2, 4))}, {"d": 2, "p": 2}, False),
     (E.ObservedEnsemble, lambda: {"y": np.ones((2, 1)), "x": np.ones((2, 3))},
      {"space": _space()}, True),
     (E.CovarianceSequence, lambda: {"lags": np.array([np.eye(2), np.ones((2, 2))])}, {}, False),
-    (E.SpectralDensity,
-     lambda: {"omegas": np.zeros(3), "values": np.ones((3, 2, 2), dtype=complex)}, {}, False),
+    (E.SpectralDensity, lambda: {"values": np.ones((3, 2, 2), dtype=complex)}, {}, False),
     (E.LTIModel, lambda: {"target_response": np.ones(4, dtype=complex),
                           "observation_response": np.ones(4, dtype=complex)}, {}, False),
-    (E.WienerSymbol, lambda: {"tau": np.ones(3, dtype=complex), "flagged": np.zeros(3, dtype=bool)},
-     {}, False),
     (E.SolutionSet, lambda: {"kernel_basis": np.ones((1, 3))},
      {"t0": E.HSOperator(coeffs=np.ones((2, 3))), "unique": False}, False),
     (E.OracleReport, lambda: {"tau": np.ones(3, dtype=complex),

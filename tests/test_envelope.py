@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import envmm as E
 from envmm import envelope
-from envmm.covariance import DEFAULT_TOL, check_symmetric_psd
+from envmm.covariance import DEFAULT_TOL
 from helpers import (
-    random_baseline_spec,
+    baseline,
+    random_baseline,
     random_ensemble,
     random_estimator,
     random_representation,
@@ -107,7 +108,7 @@ def test_non_dominated_candidate_costs_its_order_margin_more():
         p=3,
     )
     est = E.HSOperator(coeffs=np.zeros((1, 2)))
-    spec = random_baseline_spec(rng, 6, scale=0.3)
+    spec = random_baseline(rng, 6, scale=0.3)
 
     def realized(ens):
         lifted, xi = E.fit_baseline(ens, spec, seed=3)
@@ -120,7 +121,7 @@ def test_non_dominated_candidate_costs_its_order_margin_more():
 def test_fit_baseline_zero_spec_returns_source_unchanged():
     rng = np.random.default_rng(7)
     a = random_ensemble(rng, m=4, d=2, p=2)
-    spec = E.BaselineSpec(sigma_xi=np.zeros((4, 4)))
+    spec = baseline(np.zeros((4, 4)))
     lifted, xi = E.fit_baseline(a, spec, seed=0)
     assert lifted.space.same_as(a.space)
     np.testing.assert_array_equal(lifted.values, a.values)
@@ -131,7 +132,7 @@ def test_fit_baseline_scalar_atoms_are_signs():
     # rank one, scalar source: auxiliary values must be exactly +-1
     space = E.MeasureSpace(weights=np.array([1.0]))
     a = E.SourceEnsemble(space=space, values=np.array([[[2.0]]]))
-    spec = E.BaselineSpec(sigma_xi=np.array([[1.0]]))
+    spec = baseline(np.array([[1.0]]))
     lifted, xi = E.fit_baseline(a, spec, seed=3)
     np.testing.assert_allclose(np.sort(xi.values.ravel()), [-1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(xi.space.weights, [0.5, 0.5])
@@ -142,10 +143,10 @@ def test_fit_baseline_moments_exact():
     rng = np.random.default_rng(8)
     for _ in range(10):
         a = random_ensemble(rng)
-        spec = random_baseline_spec(rng, a.d * a.p)
+        spec = random_baseline(rng, a.d * a.p)
         lifted, xi = E.fit_baseline(a, spec, seed=int(rng.integers(1 << 30)))
-        scale = max(1.0, abs(spec.sigma_xi).max())
-        err = abs(E.second_moment(xi).matrix - spec.sigma_xi).max()
+        scale = max(1.0, abs(spec.matrix).max())
+        err = abs(E.second_moment(xi).matrix - spec.matrix).max()
         assert err <= 1e-12 * scale
         cross = abs(E.cross_moment(lifted, xi)).max()
         assert cross <= 1e-12 * max(1.0, E.ensemble_norm(a))
@@ -161,7 +162,7 @@ def test_fit_baseline_moments_exact():
 def test_fit_baseline_seeds_differ_but_agree_in_law():
     rng = np.random.default_rng(9)
     a = random_ensemble(rng, m=3, d=2, p=2)
-    spec = random_baseline_spec(rng, 4)
+    spec = random_baseline(rng, 4)
     _, xi1 = E.fit_baseline(a, spec, seed=1)
     _, xi2 = E.fit_baseline(a, spec, seed=2)
     assert abs(xi1.values - xi2.values).max() > 1e-6
@@ -173,7 +174,7 @@ def test_fit_baseline_seeds_differ_but_agree_in_law():
 def test_verify_extremal_reference_sample_is_exact():
     rng = np.random.default_rng(10)
     a = random_ensemble(rng, m=5, d=2, p=3)
-    spec = random_baseline_spec(rng, 6, scale=0.3)
+    spec = random_baseline(rng, 6, scale=0.3)
     rep = random_representation(rng, 2, 3)
     ests = [random_estimator(rng, rep) for _ in range(3)]
     report = E.verify_extremal(a, spec, rep, ests, seed=1, n_samples=8)
@@ -190,7 +191,7 @@ def test_verify_extremal_zero_estimator():
     # with T = 0 the cost is pure energy, monotone under domination
     rng = np.random.default_rng(11)
     a = random_ensemble(rng, m=4, d=1, p=3)
-    spec = E.BaselineSpec(sigma_xi=np.zeros((3, 3)))
+    spec = baseline(np.zeros((3, 3)))
     rep = random_representation(rng, 1, 3)
     zero = E.HSOperator(coeffs=np.zeros((rep.p_out, rep.q)))
     report = E.verify_extremal(a, spec, rep, [zero], seed=2, n_samples=10)
@@ -230,7 +231,7 @@ def _per_sample_report(a, spec, rep, ests, seed, n_samples, tol, floor):
 def test_verify_extremal_matches_per_sample_definition(m, d, p, n_ests, n_samples, seed):
     rng = np.random.default_rng([m, d, p, n_ests, n_samples, seed])
     a = random_ensemble(rng, m=m, d=d, p=p)
-    spec = random_baseline_spec(rng, d * p, scale=0.4)
+    spec = random_baseline(rng, d * p, scale=0.4)
     rep = random_representation(rng, d, p)
     ests = [random_estimator(rng, rep) for _ in range(n_ests)]
     floor = float(rng.uniform(0.0, 0.5))
@@ -270,7 +271,7 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
     else:
         m = int(rng.integers(dim, dim + 5))
     a = random_ensemble(rng, m=m, d=d, p=p)
-    spec = random_baseline_spec(rng, dim, scale=0.4)
+    spec = random_baseline(rng, dim, scale=0.4)
     rep = random_representation(rng, d, p)
     ests = [random_estimator(rng, rep) for _ in range(int(rng.integers(1, 5)))]
     report = E.verify_extremal(
@@ -289,8 +290,9 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
     lam_max = float(np.linalg.eigvalsh(E.second_moment(a).matrix)[-1])
     assert abs(report.lambda_min_margin - margin) <= 1e-12 * lam_max
     # the dense rule the engine no longer runs accepts every realized moment
+    # (second_moment builds a BlockCovariance, which holds it to that rule)
     for sample in E.sample_dominated(a, seed, n_samples, floor):
-        check_symmetric_psd(E.second_moment(sample).matrix)
+        E.second_moment(sample)
 
 
 @settings(deadline=None, max_examples=40)
@@ -307,7 +309,7 @@ def test_verify_extremal_verdict_is_scale_free(seed, k, accepted):
     # when the ensemble is rescaled
     rng = np.random.default_rng(seed)
     a = random_ensemble(rng, m=6, d=2, p=2)
-    spec = E.BaselineSpec(sigma_xi=np.zeros((4, 4)))
+    spec = baseline(np.zeros((4, 4)))
     rep = random_representation(rng, 2, 2)
     ests = [random_estimator(rng, rep) for _ in range(3)]
     eps = (0.5 if accepted else 2.0) * DEFAULT_TOL
@@ -336,7 +338,7 @@ def _split_first_atom(a):
 def test_verify_extremal_depends_on_atoms_only_through_moments(seed):
     rng = np.random.default_rng(seed)
     a = random_ensemble(rng)
-    spec = random_baseline_spec(rng, a.d * a.p, scale=0.4)
+    spec = random_baseline(rng, a.d * a.p, scale=0.4)
     rep = random_representation(rng, a.d, a.p)
     ests = [random_estimator(rng, rep) for _ in range(3)]
     base = E.verify_extremal(a, spec, rep, ests, seed=5, n_samples=6)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
-from helpers import random_ensemble, random_space
+from helpers import baseline, random_ensemble, random_space
 
 
 def test_single_atom_outer_product():
@@ -125,17 +125,17 @@ def test_ensemble_norm_and_distance():
 
 def test_baseline_spec_rejects_asymmetric():
     with pytest.raises(ValueError):
-        E.BaselineSpec(sigma_xi=np.array([[1.0, 0.5], [0.0, 1.0]]))
+        baseline([[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_baseline_spec_rejects_indefinite():
     with pytest.raises(E.DegenerateSpec):
-        E.BaselineSpec(sigma_xi=np.array([[1.0, 0.0], [0.0, -0.2]]))
+        baseline([[1.0, 0.0], [0.0, -0.2]])
 
 
 def test_baseline_spec_accepts_zero():
-    spec = E.BaselineSpec(sigma_xi=np.zeros((3, 3)))
-    assert spec.dim == 3
+    spec = baseline(np.zeros((3, 3)))
+    assert spec.dim == 3 and (spec.d, spec.p) == (1, 3)
 
 
 def test_same_as_identifies_shared_space():

@@ -6,7 +6,7 @@ import envmm.representation as representation
 from helpers import (
     coefficient_diagonal_representation,
     count_calls,
-    random_baseline_spec,
+    random_baseline,
     random_ensemble,
     random_representation,
 )
@@ -28,7 +28,7 @@ def test_apply_identity_maps():
 def test_apply_adds_baseline():
     rng = np.random.default_rng(2)
     a = random_ensemble(rng, m=3, d=1, p=2)
-    spec = random_baseline_spec(rng, 2)
+    spec = random_baseline(rng, 2)
     lifted, xi = E.fit_baseline(a, spec, seed=0)
     rep = _identity_rep(1, 2)
     with_xi = E.apply(rep, lifted, xi)
@@ -94,7 +94,7 @@ def test_truncate_shapes_and_bounds():
     per_atom, _ = E.truncation_residual(rep, a, n_in=2, n_out=3)
     assert per_atom.shape == (5,)
     for n_in, n_out in ((0, 1), (5, 1), (1, 0), (1, 4)):
-        with pytest.raises(E.BadTruncation):
+        with pytest.raises(E.ShapeMismatch):
             E.truncation_residual(rep, a, n_in=n_in, n_out=n_out)
 
 
