@@ -53,7 +53,6 @@ from .representation import (
     apply,
     build_elliptic_representation,
     green_apply,
-    green_functional,
     truncation_residual,
 )
 from .stationary import (

@@ -11,14 +11,14 @@ system caches it (NormalEquationSystem.eigh), so it is computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .covariance import (
-    CONSISTENCY_RTOL, DEFAULT_RANK_RTOL, BlockCovariance, hold, retained, within_slack,
+    CONSISTENCY_RTOL, DEFAULT_RANK_RTOL, BlockCovariance, held_eigh, hold, retained,
+    within_slack,
 )
 from .errors import ShapeMismatch
 from .measure_ensemble import SourceEnsemble, ensemble_distance, ensemble_norm, second_moment
@@ -55,12 +55,13 @@ class NormalEquationSystem:
 
     A minimizer T satisfies T gram = cross row by row; target_energy is
     the constant term of the cost. gram and cross are held as read-only
-    views (covariance.hold), not copied.
+    views (covariance.hold), not copied; eigh is gram's (held_eigh).
     """
 
     gram: NDArray
     cross: NDArray
     target_energy: float
+    eigh = held_eigh("gram")
 
     def __post_init__(self):
         hold(self, "gram", "cross", view=True)
@@ -79,14 +80,6 @@ class NormalEquationSystem:
     @property
     def p_out(self) -> int:
         return self.cross.shape[0]
-
-    @cached_property
-    def eigh(self) -> tuple[NDArray, NDArray]:
-        """Ascending eigenvalues and eigenvectors of gram, computed once."""
-        evals, evecs = np.linalg.eigh(self.gram)
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        return evals, evecs
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
 PSD rule of BlockCovariance, the rank rule `retained`, the one slack rule
-`within_slack` that every tolerance verdict is decided by, and the one
-array rule `hold` by which every value type keeps its arrays.
+`within_slack` that every tolerance verdict is decided by, and the array
+rules `hold` and `held_eigh` by which value types keep arrays read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +45,19 @@ def hold(obj, *names: str, dtype=float, view: bool = False) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def held_eigh(name: str) -> cached_property:
+    """A property of a frozen dataclass: the ascending eigenvalues and
+    eigenvectors of its named matrix field, read-only, computed once."""
+
+    def eigh(self) -> tuple[NDArray, NDArray]:
+        evals, evecs = np.linalg.eigh(getattr(self, name))
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        return evals, evecs
+
+    return cached_property(eigh)
+
+
 def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
     """The one slack rule of every tolerance verdict.
 
@@ -69,16 +83,17 @@ class BlockCovariance:
     """Symmetric PSD matrix with its block layout (d components, p coeffs).
 
     The package's one PSD rule: the matrix must be finite, symmetric to
-    SYM_RTOL relative to max|entry|, and have no eigenvalue below
-    -PSD_TOL * lambda_max. Both are within_slack verdicts, so the zero
-    matrix passes and rescaling never changes them. Violations raise
-    DegenerateSpec. A plain n x n covariance, such as the baseline
-    sigma_xi, takes the single-component layout d = 1, p = n.
+    SYM_RTOL relative to max|entry|, and have no eigenvalue of eigh (the
+    one held eigendecomposition) below -PSD_TOL * lambda_max. Both are
+    within_slack verdicts, so the zero matrix passes and rescaling never
+    changes them; violations raise DegenerateSpec. A plain n x n
+    covariance, sigma_xi say, takes the layout d = 1, p = n.
     """
 
     matrix: NDArray
     d: int
     p: int
+    eigh = held_eigh("matrix")
 
     def __post_init__(self):
         hold(self, "matrix")
@@ -93,7 +108,7 @@ class BlockCovariance:
             raise DegenerateSpec("covariance matrix must be finite")
         if not within_slack(-np.abs(mat - mat.T).max(), np.abs(mat).max(), SYM_RTOL):
             raise DegenerateSpec("covariance matrix must be symmetric")
-        evals = np.linalg.eigvalsh(mat)
+        evals = self.eigh[0]
         if not within_slack(evals[0], evals[-1], PSD_TOL):
             raise DegenerateSpec(
                 f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"

@@ -58,22 +58,18 @@ def is_member(
 
 
 def _contractions(
-    sigma: NDArray, seed: int, n_samples: int, shrink_floor: float
-) -> tuple[NDArray, NDArray]:
-    """Eigenvectors U of sigma = U diag(L) U^T and the diagonals D_s.
-
-    Sample s is the contraction K_s = U diag(D_s) U^T; D_s is uniform in
+    dim: int, seed: int, n_samples: int, shrink_floor: float
+) -> NDArray:
+    """The diagonals D_s (n_samples, dim) of the contractions U diag(D_s) U^T,
+    U the eigenvectors of the reference moment; D_s is uniform in
     [shrink_floor, 1]. One generator call draws every D_s, row by row in
-    sample order, so a seed picks the same samples for every caller.
-    diags is (n_samples, dim).
-    """
+    sample order, so a seed picks the same samples for every caller."""
     if not 0.0 <= shrink_floor <= 1.0:
         raise ValueError("shrink_floor must lie in [0, 1]")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     rng = np.random.default_rng(seed)
-    _, evecs = np.linalg.eigh(sigma)
-    return evecs, rng.uniform(shrink_floor, 1.0, size=(n_samples, sigma.shape[0]))
+    return rng.uniform(shrink_floor, 1.0, size=(n_samples, dim))
 
 
 def sample_dominated(
@@ -89,9 +85,8 @@ def sample_dominated(
     every atom, giving the exact second moment U D^2 L U^T <= U L U^T.
     Drawing D = I would reproduce the reference ensemble itself.
     """
-    evecs, diags = _contractions(
-        second_moment(reference).matrix, seed, n_samples, shrink_floor
-    )
+    evecs = second_moment(reference).eigh[1]
+    diags = _contractions(evecs.shape[0], seed, n_samples, shrink_floor)
     contractions = (evecs[None, :, :] * diags[:, None, :]) @ evecs.T
     flat = reference.flat_values
     shape = reference.values.shape
@@ -135,7 +130,7 @@ def fit_baseline(
     """
     if spec.dim != a.d * a.p:
         raise ShapeMismatch("baseline spec dimension does not match the ensemble")
-    evals, evecs = np.linalg.eigh(spec.matrix)
+    evals, evecs = spec.eigh
     kept = retained(evals)
     rank = int(kept.sum())
     m, d, p = a.space.m, a.d, a.p
@@ -181,28 +176,30 @@ def verify_extremal(
     which must attain the supremum exactly; the rest are the samples of
     sample_dominated for the same seed. A cost depends on a sample only
     through its second moment, and every contraction K_s = U diag(D_s) U^T
-    is diagonal in the eigenbasis U of Sigma_A, so no sample matrix is
-    formed. With L = diag(U^T Sigma_A U), the eigenvalues read off Sigma_A
-    itself, sample s has the moment U diag(D_s^2 L) U^T and its domination
-    gap Sigma_A - S_s has the eigenvalues L (1 - D_s^2). With W =
-    target_map - T input_map and c_i = ||W U e_i||^2, estimator T scores
-    sample s as sum_i D_si^2 L_i c_i + <sigma_xi, W^T W>_F; sample 0 takes
-    D = 1. The sample moments need no PSD check of their own: each
-    spectrum D_s^2 L lies entrywise between min(L, 0) and L, and each L_i
-    is a Rayleigh quotient of Sigma_A, so no sample eigenvalue sits below
-    the bottom of Sigma_A, which BlockCovariance has already held to the
-    PSD rule. When several estimators are given the report carries the
-    worst one: membership requires every estimator's violation to stay
-    within tol times its own reference cost (covariance.within_slack, so
-    rescaling the ensembles never changes the verdict).
+    is diagonal in the eigenbasis U of Sigma_A (its held eigh), so no
+    sample matrix is formed. With L = diag(U^T Sigma_A U), the eigenvalues
+    read off Sigma_A itself, sample s has the moment U diag(D_s^2 L) U^T
+    and its domination gap Sigma_A - S_s has the eigenvalues
+    L (1 - D_s^2). With W = target_map - T input_map and c_i =
+    ||W U e_i||^2, estimator T scores sample s as sum_i D_si^2 L_i c_i +
+    <sigma_xi, W^T W>_F; sample 0 takes D = 1. The sample moments need no
+    PSD check of their own: each spectrum D_s^2 L lies entrywise between
+    min(L, 0) and L, and each L_i is a Rayleigh quotient of Sigma_A, so no
+    sample eigenvalue sits below the bottom of Sigma_A, which
+    BlockCovariance has already held to the PSD rule. When several
+    estimators are given the report carries the worst one: membership
+    requires every estimator's violation to stay within tol times its own
+    reference cost (covariance.within_slack, so rescaling the ensembles
+    never changes the verdict).
     """
     if not estimators:
         raise ValueError("at least one estimator is required")
     if a.d * a.p != rep.d * rep.p:
         raise ShapeMismatch("ensemble dimension does not match the operator")
-    sigma = second_moment(a).matrix
-    evecs, diags = _contractions(sigma, seed, n_samples, shrink_floor)
-    evals = ((sigma @ evecs) * evecs).sum(axis=0)
+    sigma = second_moment(a)
+    evecs = sigma.eigh[1]
+    diags = _contractions(sigma.dim, seed, n_samples, shrink_floor)
+    evals = ((sigma.matrix @ evecs) * evecs).sum(axis=0)
     squares = np.concatenate([np.ones((1, evals.size)), diags**2])
     gaps = evals * (1.0 - squares[1:])
     lambda_min_margin = float(gaps.min()) if n_samples else 0.0

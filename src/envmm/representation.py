@@ -10,7 +10,8 @@ observation channel is folded into `input_map`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,16 +25,15 @@ from .measure_ensemble import MeasureSpace, SourceEnsemble
 class RepresentationOperator:
     """Pair of coefficient maps (target_map: p_out x d*p, input_map: q x d*p).
 
-    norm_bound is the largest singular value of the two maps stacked,
-    which bounds the operator norm of the joint action u -> (Tu, Iu) and
-    in particular each factor's norm.
+    Both are finite. norm_bound, computed on first use, is the largest
+    singular value of the two maps stacked: it bounds the operator norm of
+    the joint action u -> (Tu, Iu), and so each factor's norm.
     """
 
     target_map: NDArray
     input_map: NDArray
     d: int
     p: int
-    norm_bound: float = field(init=False)
 
     def __post_init__(self):
         hold(self, "target_map", "input_map")
@@ -44,8 +44,12 @@ class RepresentationOperator:
             raise ShapeMismatch(
                 f"maps must have {self.d * self.p} columns, got {t.shape[1]} and {i.shape[1]}"
             )
-        norm_bound = float(np.linalg.norm(np.vstack([t, i]), ord=2))
-        object.__setattr__(self, "norm_bound", norm_bound)
+        if not (np.isfinite(t).all() and np.isfinite(i).all()):
+            raise ValueError("representation maps must be finite")
+
+    @cached_property
+    def norm_bound(self) -> float:
+        return float(np.linalg.norm(np.vstack([self.target_map, self.input_map]), ord=2))
 
     @property
     def p_out(self) -> int:
@@ -269,17 +273,6 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     z = _dst1(buf[:n_x], sines)[1:n_x]
     z *= 2.0 / n_x
     return z
-
-
-def green_functional(
-    n_x: int, potential: float, f: NDArray, ell: NDArray
-) -> float:
-    """Discrete pairing <z, ell> = h * sum_i z_i ell_i of the solution."""
-    z = green_apply(n_x, potential, f)
-    ell = np.asarray(ell, dtype=float)
-    if ell.size != z.size:
-        raise ShapeMismatch("observable and solution grids differ")
-    return float(z @ ell / n_x)
 
 
 def _mollifier(s: NDArray) -> NDArray:

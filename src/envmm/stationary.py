@@ -59,7 +59,7 @@ class CovarianceSequence:
         if not within_slack(-np.abs(k[0] - k[0].T).max(), np.abs(k).max(), SYM_RTOL):
             raise ValueError("lag 0 must be symmetric")
         k.flags.writeable = True  # hold's copy, not the caller's array
-        k[0] = 0.5 * (k[0] + k[0].T)
+        k[0] = 0.5 * k[0] + 0.5 * k[0].T  # halving first cannot overflow
         k.flags.writeable = False
 
     @property
@@ -354,8 +354,8 @@ def circulant_oracle(
     at the scale max|S| of the spectral density S, so rescaling the
     sequence never changes it, and when no eigenvalue of the half
     spectrum is positive, so that there is no atom to assemble. The
-    frequency-wise ratio is formed, and its blocks checked, before any
-    atom is built or any phase drawn.
+    ratio is formed, and the observed blocks checked (syy finite, sxx by
+    wiener_symbol), before any atom is built or any phase drawn.
     """
     if seq.d != 2:
         raise ShapeMismatch(f"two channels required, got d={seq.d}")
@@ -383,6 +383,8 @@ def circulant_oracle(
         )
 
     syy, syx, sxx = lti_blocks(sd, model)
+    if not np.isfinite(syy).all():
+        raise ValueError("the target block |H|^2 K11 overflows")
     tau, flagged = wiener_symbol(syx, sxx, rank_tol=rank_tol)
 
     rng = np.random.default_rng(seed)

@@ -244,6 +244,40 @@ def test_envelope_violation_exits_two(tmp_path):
     assert report["member"] is False
 
 
+def test_envelope_check_of_a_source_against_itself_is_member_at_zero_tol(tmp_path):
+    # the gap of two equal moments is exactly zero, so its bottom eigenvalue
+    # is 0.0 and within slack even with no slack at all
+    base = json.loads((CONFIG_DIR / "envelope_check.json").read_text())
+    base["candidate"] = base["source"]
+    base["tol"] = 0
+    cfg = tmp_path / "self.json"
+    cfg.write_text(json.dumps(base))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["member"] is True and report["lambda_min_margin"] == 0.0
+
+
+def test_minimize_without_a_minimizer_reports_the_dropped_cross_energy(tmp_path):
+    # rank_tol 0.5 drops a Gram mode the cross matrix still reads: the run
+    # exits 2 and reports the cross energy in that mode, recomputed here
+    # from the config's moments
+    base = json.loads((CONFIG_DIR / "minimize.json").read_text())
+    base["rank_tol"] = 0.5
+    cfg = tmp_path / "dropped.json"
+    cfg.write_text(json.dumps(base))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 2
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    w = np.asarray(base["source"]["weights"])
+    u = np.asarray(base["source"]["values"]).reshape(w.size, -1)
+    x, y = u @ np.asarray(base["input_map"]).T, u @ np.asarray(base["target_map"]).T
+    evals, evecs = np.linalg.eigh((x * w[:, None]).T @ x)
+    dropped = evecs[:, evals <= 0.5 * evals[-1]]
+    expected = np.linalg.norm((y * w[:, None]).T @ x @ dropped)
+    assert report["no_minimizer"] is True
+    assert report["range_violation"] == pytest.approx(expected, rel=1e-12)
+    assert report["range_violation"] == pytest.approx(0.5318, abs=1e-4)
+
+
 def test_dead_channel_exits_two(tmp_path):
     base = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
     base["observation_kernel"] = [0.0]
@@ -329,8 +363,8 @@ def test_envelope_check_factorizes_each_matrix_once(tmp_path, monkeypatch):
     counts = count_eigensolves(monkeypatch)
     code, report, _ = _run("envelope_check", tmp_path)
     assert code == 0 and report["member"]
-    # the PSD checks of the two second moments, then their difference
-    assert counts == {"eigh": 0, "eigvalsh": 3}
+    # each second moment's held eigh (its PSD check), then their difference
+    assert counts == {"eigh": 2, "eigvalsh": 1}
 
 
 def test_wss_envelope_factorizes_the_gap_stack_once(tmp_path, monkeypatch):
@@ -344,9 +378,9 @@ def test_verify_extremal_factorizes_the_reference_once(tmp_path, monkeypatch):
     counts = count_eigensolves(monkeypatch)
     code, report, _ = _run("verify_extremal", tmp_path)
     assert code == 0 and report["member"]
-    # the PSD checks of Sigma_A and sigma_xi, then the eigenbasis every
-    # sample is scored in
-    assert counts == {"eigh": 1, "eigvalsh": 2}
+    # the held eigh of Sigma_A and of sigma_xi; Sigma_A's PSD check and the
+    # eigenbasis every sample is scored in share one
+    assert counts == {"eigh": 2, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize(
@@ -582,12 +616,14 @@ def test_overflowing_config_is_usage_error(kind, path, tmp_path, capsys):
     assert not (out / "series.csv").exists()
 
 
-def test_overflowing_kernel_is_refused_before_the_atoms(tmp_path, monkeypatch, capsys):
-    # |G|^2 S22 overflows: wiener_symbol refuses the observed blocks, which
-    # the oracle checks before it builds a single Fourier atom, and stderr
-    # carries the one-line error only, no numpy warning
+@pytest.mark.parametrize("kernel", ["target_kernel", "observation_kernel"])
+def test_overflowing_kernel_is_refused_before_the_atoms(kernel, tmp_path, monkeypatch, capsys):
+    # |H|^2 S11 or |G|^2 S22 overflows: the oracle refuses the observed
+    # blocks (syy itself, sxx through wiener_symbol) before it builds a
+    # single Fourier atom, and stderr carries the one-line error only, no
+    # numpy warning
     config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
-    config["observation_kernel"][0] = 1e308
+    config[kernel][0] = 1e308
     cfg = tmp_path / "overflow.json"
     cfg.write_text(json.dumps(config))
     built = []

@@ -166,6 +166,11 @@ def test_normal_equation_system_holds_read_only_views():
     assert gram.flags.writeable and cross.flags.writeable
 
 
+def test_normal_equation_system_rejects_negative_energy():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _system(np.eye(2), np.ones((1, 2)), energy=-1.0)
+
+
 def _assert_coercive_solution(sys):
     """On a coercive system the solution set is one point, within the
     a-priori bound ||cross||_F / lambda_min(gram), and solves the normal

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
-from envmm.covariance import DEFAULT_TOL, PSD_TOL, SYM_RTOL
+from envmm.covariance import DEFAULT_TOL, PSD_TOL, SYM_RTOL, retained
 from helpers import contracted_ensemble, random_ensemble, random_psd
 
 
@@ -281,6 +281,39 @@ def test_value_types_hold_arrays_by_one_rule(cls, inputs, fixed, view):
         arr.fill(7)
         if not view:
             np.testing.assert_array_equal(held, before)
+
+
+def test_retained_drops_an_eigenvalue_tied_with_its_threshold():
+    # both eigenvalues sit at or below rank_tol * top = 2: a tie is dropped
+    assert not retained(np.array([1.0, 2.0]), rank_tol=1.0).any()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda m: E.BlockCovariance(matrix=m, d=1, p=3), "matrix"),
+    (lambda m: E.NormalEquationSystem(gram=m, cross=np.ones((1, 3)), target_energy=1.0), "gram"),
+])
+def test_held_eigh_is_one_read_only_eigendecomposition(build, name):
+    obj = build(random_psd(np.random.default_rng(11), 3))
+    evals, evecs = obj.eigh
+    assert obj.eigh is obj.eigh
+    assert not evals.flags.writeable and not evecs.flags.writeable
+    expected = np.linalg.eigh(getattr(obj, name))
+    np.testing.assert_array_equal(evals, expected[0])
+    np.testing.assert_array_equal(evecs, expected[1])
+
+
+def test_eigensolves_are_made_in_covariance_and_stationary_only():
+    # every other module reads a held eigh (BlockCovariance.eigh,
+    # NormalEquationSystem.eigh) or a spectrum handed back with its verdict
+    for path in sorted(Path(E.__file__).parent.glob("*.py")):
+        if path.name in ("covariance.py", "stationary.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                assert not ast.unparse(node.value).endswith("linalg"), where
+            if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                assert not {a.name for a in node.names} & {"eigh", "eigvalsh"}, where
 
 
 _POLICY = {"SYM_RTOL", "PSD_TOL", "DEFAULT_TOL", "DEFAULT_RANK_RTOL", "CONSISTENCY_RTOL"}

@@ -78,6 +78,14 @@ def test_sampler_unit_floor_reproduces_reference():
     np.testing.assert_allclose(sample.values, a.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("floor", [-0.5, 2.0])
+def test_sampler_rejects_a_floor_outside_the_unit_interval(floor):
+    # a floor above 1 would draw D > 1: samples that are not dominated
+    a = random_ensemble(np.random.default_rng(5), m=3, d=1, p=4)
+    with pytest.raises(ValueError, match="shrink_floor"):
+        E.sample_dominated(a, seed=0, n_samples=1, shrink_floor=floor)
+
+
 def test_sampler_actually_moves():
     rng = np.random.default_rng(6)
     a = random_ensemble(rng, m=3, d=1, p=4)
@@ -295,6 +303,16 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
         E.second_moment(sample)
 
 
+def test_verify_extremal_rejects_a_representation_of_another_width():
+    rng = np.random.default_rng(8)
+    a = random_ensemble(rng, m=4, d=2, p=2)
+    rep = random_representation(rng, 1, 3)
+    with pytest.raises(E.ShapeMismatch, match="ensemble dimension"):
+        E.verify_extremal(
+            a, baseline(np.zeros((4, 4))), rep, [random_estimator(rng, rep)], seed=0, n_samples=2
+        )
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -314,9 +332,8 @@ def test_verify_extremal_verdict_is_scale_free(seed, k, accepted):
     ests = [random_estimator(rng, rep) for _ in range(3)]
     eps = (0.5 if accepted else 2.0) * DEFAULT_TOL
 
-    def expanding(sigma, seed, n_samples, shrink_floor):
-        diags = np.full((n_samples, sigma.shape[0]), np.sqrt(1.0 + eps))
-        return np.linalg.eigh(sigma)[1], diags
+    def expanding(dim, seed, n_samples, shrink_floor):
+        return np.full((n_samples, dim), np.sqrt(1.0 + eps))
 
     scaled = E.SourceEnsemble(space=a.space, values=10.0 ** (k / 2) * a.values)
     with pytest.MonkeyPatch.context() as mp:

@@ -76,6 +76,15 @@ def test_observed_moments_match_push_forward():
     np.testing.assert_allclose(joint[r:, r:], system.gram, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["target_map", "input_map"])
+def test_representation_rejects_nonfinite_maps(field, bad):
+    maps = {"target_map": np.eye(2), "input_map": np.eye(2)}
+    maps[field][1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        E.RepresentationOperator(**maps, d=1, p=2)
+
+
 def test_norm_bound_dominates_factors():
     rng = np.random.default_rng(6)
     rep = random_representation(rng, 2, 3)
@@ -85,6 +94,13 @@ def test_norm_bound_dominates_factors():
     assert rep.norm_bound >= input_norm - 1e-12
     # stacking cannot exceed the pythagorean combination either
     assert rep.norm_bound <= np.hypot(target_norm, input_norm) + 1e-12
+
+
+def test_norm_bound_is_computed_on_first_use():
+    # only cost_difference_bound reads it, so building an operator makes no SVD
+    rep = random_representation(np.random.default_rng(7), 2, 3)
+    assert "norm_bound" not in vars(rep)
+    assert rep.norm_bound == vars(rep)["norm_bound"]
 
 
 def test_truncate_shapes_and_bounds():
@@ -262,7 +278,7 @@ def test_gains_match_per_component_definition(n_x, width, centers, varying_ell):
         outside = np.ones(n_x - 1, dtype=bool)
         outside[support] = False
         assert not profile[outside].any()
-        expected = E.green_functional(n_x, 1.7, profile, observable)
+        expected = E.green_apply(n_x, 1.7, profile) @ observable / n_x
         assert gain == pytest.approx(expected, rel=1e-12)
 
 
@@ -285,7 +301,8 @@ def test_green_functional_grid_limit():
     # round-off after Richardson inspection, so just pin the order
     vals = {}
     for n_x in (16, 32, 64):
-        vals[n_x] = E.green_functional(n_x, 0.0, np.ones(n_x - 1), np.ones(n_x - 1))
+        ones = np.ones(n_x - 1)
+        vals[n_x] = E.green_apply(n_x, 0.0, ones) @ ones / n_x
     err = {n: abs(v - 1.0 / 12.0) for n, v in vals.items()}
     order = np.log2(err[16] / err[32])
     assert order == pytest.approx(2.0, abs=0.05)

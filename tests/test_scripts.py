@@ -18,12 +18,6 @@ def _script(name, *args):
     )
 
 
-def test_envelope_study_runs_clean():
-    done = _script("envelope_study.py", "--samples", "5", "--estimators", "2")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "gaps within bound     True" in done.stdout
-
-
 def test_run_all_demos_seeds_only_the_seeded_kinds(tmp_path):
     done = _script("run_all_demos.py", "--out", str(tmp_path), "--seed", "7")
     assert done.returncode == 0, done.stdout + done.stderr

@@ -53,6 +53,13 @@ def test_sequence_holds_zero_lag_symmetrized():
     np.testing.assert_array_equal(seq.lag(-1), lags[1].T)
 
 
+def test_sequence_holds_a_finite_zero_lag_finite():
+    # symmetrizing lag 0 must not overflow near the largest float
+    seq = E.CovarianceSequence(lags=[[[1e308, 0.0], [0.0, 1.0]]])
+    assert np.isfinite(seq.lags).all()
+    np.testing.assert_array_equal(seq.lag(0), [[1e308, 0.0], [0.0, 1.0]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
