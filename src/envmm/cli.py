@@ -320,7 +320,7 @@ def _run_wss_envelope(p: dict):
 def _run_wss_filter(p: dict):
     seq, n, seed = p["seq"], p["n_freq"], p["seed"]
     # the largest arrays are the atoms and their complex waves: at most
-    # 2 d (n // 2 + 1) rows of n floats, beyond the n x n complex spectrum
+    # 2 d (n // 2 + 1) rows of n floats, beyond the complex half spectrum
     _check_budget("n_freq", 2 * seq.d * (n // 2 + 1) * n)
     for field in ("target_kernel", "observation_kernel"):
         if p[field].size > n:

@@ -179,7 +179,8 @@ def solve_pseudoinverse(
     is returned as a NoMinimizer outcome instead of an exception. The
     verdict is within_slack(-violation, ||cross||_F, CONSISTENCY_RTOL),
     relative to the data, so rescaling gram and cross together never
-    changes it.
+    changes it. The retained modes are scaled by one masked divide into
+    a zeroed buffer, so no masked copy of the cross modes is made.
     """
     evals, evecs = sys.eigh
     kept = retained(evals, rank_tol)
@@ -188,8 +189,7 @@ def solve_pseudoinverse(
     scale = float(np.linalg.norm(sys.cross, ord="fro"))
     if not within_slack(-violation, scale, CONSISTENCY_RTOL):
         return NoMinimizer(range_violation=violation)
-    scaled = np.zeros_like(cross_modes)
-    scaled[:, kept] = cross_modes[:, kept] / evals[None, kept]
+    scaled = np.divide(cross_modes, evals, out=np.zeros_like(cross_modes), where=kept)
     return HSOperator(coeffs=scaled @ evecs.T)
 
 

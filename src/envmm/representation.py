@@ -322,7 +322,9 @@ def build_elliptic_representation(
 
     The discrete solution operator G (green_apply) is symmetric, so
     gamma_j = h <G g_j, ell> = h <g_j, G ell>: one solve w = G ell gives
-    every gain, each read off the support of g_j alone.
+    every gain, each read off the support of g_j alone. Each is numpy's
+    pairwise sum of g_j * w there, not a BLAS dot, which a threaded BLAS
+    splits by its thread count, so the gains do not depend on it.
     """
     d, p = cfg.d, cfg.basis_dim
     ell = (
@@ -334,7 +336,7 @@ def build_elliptic_representation(
     gains = []
     for center in cfg.bump_centers:
         support, g = _source_profile(cfg, center)
-        gains.append(float(g @ w[support]) / cfg.n_x)
+        gains.append(float(np.sum(g * w[support])) / cfg.n_x)
     eye = np.eye(p)
     target = np.hstack([g * eye for g in gains])
     inputm = np.hstack([a * eye for a in cfg.alphas])

@@ -347,9 +347,15 @@ def circulant_oracle(
     sequence from the half spectrum r = 0 .. n // 2 (the other half
     mirrors it; see _fourier_atoms), filters it through the model mode by
     mode, assembles the time-domain normal equations from it, solves
-    them, and reads the solution's symbol off its DFT diagonal. The
-    report compares that symbol against the frequency-wise ratio; the two
-    routes share no code beyond the spectral blocks. DegenerateSpec is
+    them, and reads the solution's symbol off the diagonal of F C F^-1,
+    F the DFT matrix and C the solution. That read-out takes the half
+    spectrum too: one rfft of C along axis 0 and one ifft along axis 1
+    give the rows r = 0 .. n // 2. C is real, so
+    lam[n - r, n - s] = conj lam[r, s]: the diagonal at r > n / 2 is
+    conj diag[n - r], and the off-diagonal maximum over those rows is
+    the leakage over all of them. The report compares that symbol
+    against the frequency-wise ratio; the two routes share no code
+    beyond the spectral blocks. DegenerateSpec is
     raised when the bottom spectral block eigenvalue fails within_slack
     at the scale max|S| of the spectral density S, so rescaling the
     sequence never changes it, and when no eigenvalue of the half
@@ -396,10 +402,13 @@ def circulant_oracle(
         leakage = 0.0
         solver_failed = True
     else:
-        lam_freq = np.fft.ifft(np.fft.fft(solution.coeffs, axis=0), axis=1)
-        symbol_estimate = np.diag(lam_freq).copy()
-        np.fill_diagonal(lam_freq, 0)
-        leakage = float(np.abs(lam_freq).max())
+        # rows r = 0 .. n // 2 of F C F^-1; the rest mirror them
+        half = np.fft.ifft(np.fft.rfft(solution.coeffs, axis=0), axis=1)
+        rows = np.arange(n // 2 + 1)
+        head = half[rows, rows]
+        symbol_estimate = np.concatenate([head, np.conj(head[1 : (n + 1) // 2][::-1])])
+        half[rows, rows] = 0
+        leakage = float(np.abs(half).max())
         solver_failed = False
 
     gaps = np.abs(symbol_estimate - tau)

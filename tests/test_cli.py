@@ -125,6 +125,33 @@ def test_wss_filter_leakage_is_the_dense_off_diagonal_maximum(perturb, tmp_path,
     assert leakage >= 0.9 * perturb * scale / n
 
 
+@pytest.mark.parametrize("kind", ["minimize", "elliptic_demo"])
+def test_residual_is_the_optimality_gap_of_the_reported_solution(kind, tmp_path, monkeypatch):
+    # the field is ||T gram - cross||_F of the solution the run reports; a
+    # minimizer moved off the optimum by 1e-3 of its size is the positive
+    # control
+    assemble, solve = cli.cm.assemble_normal_equations, cli.cm.solution_set
+    seen = {}
+
+    def recorded(obs):
+        seen["system"] = assemble(obs)
+        return seen["system"]
+
+    def moved(system, **kwargs):
+        out = solve(system, **kwargs)
+        seen["t"] = out.t0.coeffs + 1e-3 * np.abs(out.t0.coeffs).max()
+        t0 = cli.cm.HSOperator(coeffs=seen["t"])
+        return cli.cm.SolutionSet(t0=t0, kernel_basis=out.kernel_basis, unique=out.unique)
+
+    monkeypatch.setattr(cli.cm, "assemble_normal_equations", recorded)
+    monkeypatch.setattr(cli.cm, "solution_set", moved)
+    _, report, _ = _run(kind, tmp_path)
+    system = seen["system"]
+    dense = np.linalg.norm(seen["t"] @ system.gram - system.cross)
+    assert dense > 0.0
+    assert report["residual"] == pytest.approx(dense, rel=1e-12)
+
+
 def test_elliptic_transfer_failure_exits_two(tmp_path, monkeypatch):
     # a candidate 1.5 times the source has 2.25 times its second moment S,
     # so the pushed gap T (S - 2.25 S) T^T is negative definite on T's range
@@ -436,6 +463,33 @@ def test_import_leaves_numpy_fft_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_elliptic_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n_x = 1e5 each bump spans about 2e4 nodes, where a threaded BLAS dot
+    # splits its sum by the thread count; the gains are pairwise sums instead
+    config = json.loads((CONFIG_DIR / "elliptic_demo.json").read_text())
+    config.update(
+        n_x=100_000, potential=0.3, bump_centers=[0.35, 0.5, 0.6, 0.75],
+        alphas=[1.3, 0.6, 1.2, 1.0],
+    )
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(
+            os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "envmm.cli", "elliptic_demo", "--config", str(path),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "series.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_summary_lines_are_stable(tmp_path, capsys):

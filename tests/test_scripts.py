@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,3 +26,11 @@ def test_run_all_demos_seeds_only_the_seeded_kinds(tmp_path):
         report = json.loads((tmp_path / config.stem / "report.json").read_text())
         seeded = "seed" in json.loads(config.read_text())
         assert report.get("seed") == (7 if seeded else None)
+
+
+def test_every_mutant_pattern_matches_once():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.pattern_problems() == []
