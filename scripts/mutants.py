@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """Mutation gate: run the tier-1 tests against each reviewed mutant.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Each mutant replaces one exact string in one file of the package, and
-that string must occur there exactly once (checked before anything
-runs). Mutants run one at a time: the repository is copied to a
-temporary directory, the one patch is applied there, and the tier-1
-tests run with -x in one child process at one BLAS thread, under a
-wall-clock timeout (TIMEOUT_S) and an address-space limit (RLIMIT_AS at
-MEMORY_LIMIT). The test that holds each pattern to one occurrence is
-deselected there, as a patched copy fails it by construction; the
-unpatched copy runs first and must pass. A mutant is killed when the
-tests fail, survived when they pass, and timeout when the clock runs
-out. Mutants marked equivalent carry the reason they cannot be killed;
-they still run, and one that is killed is counted as killed. NAME
-arguments run only those mutants.
+that string must occur there exactly once, with a patched module that
+still compiles (both checked before anything runs). Mutants run one at a
+time: the repository is copied to a temporary directory, the one patch
+is applied there, and the tier-1 tests run with -x in one child process
+at one BLAS thread, under a wall-clock timeout (TIMEOUT_S) and an
+address-space limit (RLIMIT_AS at MEMORY_LIMIT). The test that holds
+each pattern to one occurrence is deselected there, as a patched copy
+fails it by construction; the unpatched copy runs first and must pass. A
+mutant is killed when the tests fail, survived when they pass, and
+timeout when the clock runs out.
 
 Prints one line per mutant, then the count of each class, then one JSON
-line with the names in each class and the kill ratio: killed over the
-mutants that are not equivalent survivors.
+line with the names in each class and the kill ratio: killed over all
+mutants.
 Standard library only.
 """
 
@@ -49,7 +47,6 @@ class Mutant(NamedTuple):
     module: str
     old: str
     new: str
-    equivalent: str | None = None
 
 
 TIMEOUT_S = 300.0
@@ -86,10 +83,6 @@ MUTANTS = (
            IF_FALSE),
     Mutant("element_budget_removed", "cli.py", "if elements > ELEMENT_BUDGET:", IF_FALSE),
     # report fields and exit codes
-    Mutant("worst_estimator_zero", "envelope.py",
-           "worst = int(np.argmax(violations))", "worst = 0",
-           equivalent="every sampled violation is exactly 0.0 when all L_i >= 0, "
-                      "so argmax always picks estimator 0"),
     Mutant("member_true", "envelope.py",
            "member=within_slack(-violations, refs, tol),", "member=True,"),
     Mutant("minimize_range_violation_zero", "cli.py",
@@ -121,20 +114,27 @@ MUTANTS = (
            "np.conj(head[1 : (n + 1) // 2][::-1])", "np.conj(head[1 : (n + 1) // 2])"),
     Mutant("half_rows_off_by_one", "stationary.py",
            "rows = np.arange(n // 2 + 1)", "rows = np.arange(n // 2)"),
-    Mutant("diagonal_left_unzeroed", "stationary.py", "half[rows, rows] = 0\n", ""),
+    Mutant("diagonal_left_unzeroed", "stationary.py", "        half[rows, rows] = 0\n", ""),
 )
 
 
 def pattern_problems() -> list[str]:
-    """One message per mutant whose pattern does not occur exactly once,
-    and per duplicated mutant name."""
+    """One message per mutant whose pattern does not occur exactly once or
+    whose patched module does not compile, and per duplicated mutant name:
+    a mutant that only breaks the syntax is killed by the import alone."""
     problems = []
     names = [m.name for m in MUTANTS]
     problems += [f"duplicate mutant name {n}" for n in sorted(set(names)) if names.count(n) > 1]
     for m in MUTANTS:
-        count = (ROOT / PACKAGE / m.module).read_text().count(m.old)
+        source = (ROOT / PACKAGE / m.module).read_text()
+        count = source.count(m.old)
         if count != 1:
             problems.append(f"{m.name}: pattern occurs {count} times in {m.module}")
+            continue
+        try:
+            compile(source.replace(m.old, m.new), m.module, "exec")
+        except SyntaxError as exc:
+            problems.append(f"{m.name}: the patched {m.module} does not compile: {exc}")
     return problems
 
 
@@ -168,35 +168,23 @@ def run_mutant(m: Mutant | None) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     problems = pattern_problems()
-    unknown = sorted(set(args.names) - {m.name for m in MUTANTS})
-    problems += [f"unknown mutant {n}" for n in unknown]
     if problems:
         for line in problems:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     baseline = run_mutant(None)
     if baseline != "survived":
         print(f"error: the unpatched tests did not pass ({baseline})", file=sys.stderr)
         return 1
-    classes: dict[str, list[str]] = {
-        "killed": [], "survived": [], "timeout": [], "equivalent": []
-    }
-    for m in chosen:
+    classes: dict[str, list[str]] = {"killed": [], "survived": [], "timeout": []}
+    for m in MUTANTS:
         start = time.monotonic()
         outcome = run_mutant(m)
-        note = ""
-        if m.equivalent:
-            note = f"  (marked equivalent: {m.equivalent})"
-            if outcome == "survived":
-                outcome = "equivalent"
         classes[outcome].append(m.name)
-        print(f"{outcome:<10} {m.name} {time.monotonic() - start:.1f}s{note}", flush=True)
-    scored = len(chosen) - len(classes["equivalent"])
-    ratio = len(classes["killed"]) / scored if scored else 1.0
+        print(f"{outcome:<10} {m.name} {time.monotonic() - start:.1f}s", flush=True)
+    ratio = len(classes["killed"]) / len(MUTANTS)
     print(" ".join(f"{key} {len(names)}" for key, names in classes.items()))
     print(json.dumps({**classes, "kill_ratio": ratio}, sort_keys=True))
     return 0

@@ -97,14 +97,12 @@ def _dft(n):
 @pytest.mark.parametrize("perturb", [0.0, 1e-3])
 def test_wss_filter_leakage_is_the_dense_off_diagonal_maximum(perturb, tmp_path, monkeypatch):
     # the statistic is the largest off-diagonal |entry| of F C F^-1, F the DFT
-    # matrix and C the grid solution; a non-circulant perturbation of C, one
-    # entry moved by perturb * max|C|, adds perturb * max|C| / n to every
-    # entry, which is the positive control
-    n = 16
+    # matrix and C the grid solution, and the symbol behind the series gap is
+    # its diagonal; both are read from the half spectrum, so n runs even and
+    # odd. A non-circulant perturbation of C, one entry moved by
+    # perturb * max|C|, adds perturb * max|C| / n to every entry, which is
+    # the positive control
     config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
-    config["n_freq"] = n
-    cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps(config))
     solve = cli.st.solve_pseudoinverse
     solutions = []
 
@@ -115,14 +113,22 @@ def test_wss_filter_leakage_is_the_dense_off_diagonal_maximum(perturb, tmp_path,
         return cli.cm.HSOperator(coeffs=coeffs)
 
     monkeypatch.setattr(cli.st, "solve_pseudoinverse", perturbed)
-    assert cli.run(cfg, out_dir=tmp_path / "o") == 0
-    leakage = json.loads((tmp_path / "o" / "report.json").read_text())["off_diagonal_leakage"]
-    (c,) = solutions
-    dense = _dft(n) @ c @ np.linalg.inv(_dft(n))
-    np.fill_diagonal(dense, 0.0)
-    scale = np.abs(c).max()
-    assert abs(leakage - np.abs(dense).max()) <= 1e-12 * scale
-    assert leakage >= 0.9 * perturb * scale / n
+    for n in (16, 17):
+        config["n_freq"] = n
+        cfg = tmp_path / f"n{n}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"o{n}"
+        assert cli.run(cfg, out_dir=out) == 0
+        leakage = json.loads((out / "report.json").read_text())["off_diagonal_leakage"]
+        series = _series(out)
+        c = solutions.pop()
+        dense = _dft(n) @ c @ np.linalg.inv(_dft(n))
+        scale = np.abs(c).max()
+        tau = series["tau_re"] + 1j * series["tau_im"]
+        assert np.abs(series["gap"] - np.abs(np.diag(dense) - tau)).max() <= 1e-13 * scale
+        np.fill_diagonal(dense, 0.0)
+        assert abs(leakage - np.abs(dense).max()) <= 1e-13 * scale
+        assert leakage >= 0.9 * perturb * scale / n
 
 
 @pytest.mark.parametrize("kind", ["minimize", "elliptic_demo"])
@@ -467,7 +473,10 @@ def test_import_leaves_numpy_fft_unloaded():
 
 def test_elliptic_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at n_x = 1e5 each bump spans about 2e4 nodes, where a threaded BLAS dot
-    # splits its sum by the thread count; the gains are pairwise sums instead
+    # splits its sum by the thread count; the gains are pairwise sums instead.
+    # The test can only fail on a numpy linked to OpenBLAS on at least 2 CPUs:
+    # OpenBLAS caps the thread count at the CPUs it finds, and other BLAS
+    # libraries ignore OPENBLAS_NUM_THREADS
     config = json.loads((CONFIG_DIR / "elliptic_demo.json").read_text())
     config.update(
         n_x=100_000, potential=0.3, bump_centers=[0.35, 0.5, 0.6, 0.75],

@@ -457,35 +457,6 @@ def test_oracle_makes_two_ffts(monkeypatch):
     assert counts == {"fft": 0, "rfft": 1, "ifft": 1}
 
 
-@pytest.mark.parametrize("n", [16, 17])
-@pytest.mark.parametrize("perturb", [0.0, 1e-3])
-def test_oracle_half_readout_matches_the_full_spectrum(n, perturb, monkeypatch):
-    # the symbol and leakage read from rows r <= n // 2 are those of the full
-    # F C F^-1 of the same solution C, at even and odd n; a dense real
-    # perturbation of C puts off-diagonal entries in every row
-    solve = stationary.solve_pseudoinverse
-    solutions = []
-
-    def perturbed(*args, **kwargs):
-        coeffs = solve(*args, **kwargs).coeffs
-        noise = np.random.default_rng(n).standard_normal(coeffs.shape)
-        solutions.append(coeffs + perturb * np.abs(coeffs).max() * noise)
-        return E.HSOperator(coeffs=solutions[-1])
-
-    monkeypatch.setattr(stationary, "solve_pseudoinverse", perturbed)
-    seq = random_sequence(np.random.default_rng(n), max_lag=3)
-    model = E.LTIModel.from_impulse_response([1.0, 0.5, 0.25], [0.8, -0.3], n)
-    report = E.circulant_oracle(seq, model, n, seed=0)
-    (c,) = solutions
-    full = np.fft.ifft(np.fft.fft(c, axis=0), axis=1)
-    scale = np.abs(full).max()
-    assert np.abs(report.symbol_estimate - np.diag(full)).max() <= 1e-13 * scale
-    np.fill_diagonal(full, 0)
-    leakage = np.abs(full).max()
-    assert abs(report.off_diagonal_leakage - leakage) <= 1e-13 * scale
-    assert leakage >= 0.1 * perturb * scale
-
-
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(-8, 8), rel_gap=st.sampled_from([2e-8, 1e-10]))
 def test_embedding_verdict_is_scale_free(k, rel_gap):
