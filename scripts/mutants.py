@@ -103,6 +103,19 @@ MUTANTS = (
     Mutant("baseline_seed_mixing_removed", "envelope.py",
            "aux_values = mix @ aux_values", "aux_values = aux_values"),
     Mutant("bound_constant_one", "cost_minimizer.py", "(2.0 + np.sqrt(2.0))", "1.0"),
+    # the dominated-sample family: its gaps, margins and realization
+    Mutant("gap_sign_flipped", "envelope.py",
+           "refs[:, None] - drops", "refs[:, None] + drops"),
+    Mutant("margin_without_rayleigh", "envelope.py",
+           "(lams * scales).min(", "scales.min("),
+    Mutant("margin_null_space_dropped", "envelope.py",
+           "initial=np.inf if kept.all() else 0.0", "initial=np.inf"),
+    Mutant("realization_without_pinv", "envelope.py",
+           "reference.flat_values @ gaps.co_root.T", "reference.flat_values @ gaps.root"),
+    Mutant("realization_unrooted", "envelope.py",
+           "np.sqrt(1.0 - gaps.scales)", "(1.0 - gaps.scales)"),
+    Mutant("realization_root_unsymmetric", "envelope.py",
+           "gaps.co_root.T @ gaps.bases", "gaps.co_root.T"),
     # the pseudoinverse's masked divide
     Mutant("divide_where_dropped", "cost_minimizer.py", "where=kept)", "where=~kept)"),
     Mutant("divide_ones_fill", "cost_minimizer.py",

@@ -10,6 +10,7 @@ the extremal property numerically.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,11 @@ class EnvelopeReport:
     member            for every estimator, no sampled cost exceeded its
                       reference cost by more than tol times that cost
                       (covariance.within_slack)
-    lambda_min_margin worst domination margin among the samples
+    lambda_min_margin bottom eigenvalue of the worst domination gap
+                      Sigma_A - S_s among the samples (0.0 with none)
     cost_reference    cost at the reference ensemble
     cost_samples      (sample id, cost) pairs; id 0 is the reference
-                      ensemble itself, i.e. the undeformed sample
+                      ensemble itself, the sample with a zero gap
     max_violation     max over samples of cost_sample - cost_reference
     """
 
@@ -57,43 +59,55 @@ def is_member(
     return loewner_dominates(second_moment(reference), second_moment(candidate), tol=tol)
 
 
-def _contractions(
-    dim: int, seed: int, n_samples: int, shrink_floor: float
-) -> NDArray:
-    """The diagonals D_s (n_samples, dim) of the contractions U diag(D_s) U^T,
-    U the eigenvectors of the reference moment; D_s is uniform in
-    [shrink_floor, 1]. One generator call draws every D_s, row by row in
-    sample order, so a seed picks the same samples for every caller."""
+# one dominated-sample family: each sample held as its domination gap (_gaps)
+_Gaps = namedtuple("_Gaps", "root co_root bases scales margins")
+
+
+def _gaps(sigma: BlockCovariance, seed: int, n_samples: int, shrink_floor: float) -> _Gaps:
+    """The samples S_s that verify_extremal scores and sample_dominated
+    realizes, each as its gap Sigma_A - S_s = R Q_s diag(s_s) Q_s^T R^T.
+
+    U is sigma's held eigenbasis and L = diag(U^T sigma U) its Rayleigh
+    eigenvalues. root is R = U_r diag(sqrt(L_r)) (dim x r) over the
+    directions retained(L) keeps and co_root its pseudoinverse R^+;
+    bases holds the orthonormal Q_s, (1, r, r) when the samples share
+    one; scales the s_s (n_samples x r), in [0, 1] for a dominated sample;
+    margins each gap's bottom eigenvalue. Here Q = I and s_s = 1 - D_s^2,
+    D_s uniform in [shrink_floor, 1], drawn by one generator call
+    (n_samples x dim, row by row in sample order), so a seed picks the
+    same samples for every caller.
+    """
     if not 0.0 <= shrink_floor <= 1.0:
         raise ValueError("shrink_floor must lie in [0, 1]")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(shrink_floor, 1.0, size=(n_samples, dim))
+    evecs = sigma.eigh[1]
+    evals = ((sigma.matrix @ evecs) * evecs).sum(axis=0)
+    kept = retained(evals)
+    lams, dirs = evals[kept], evecs[:, kept]
+    diags = np.random.default_rng(seed).uniform(shrink_floor, 1.0, size=(n_samples, sigma.dim))
+    scales = 1.0 - diags[:, kept] ** 2
+    # the gap's eigenvalues: L_j s_sj on the retained directions, 0 on the rest
+    margins = (lams * scales).min(axis=1, initial=np.inf if kept.all() else 0.0)
+    roots = np.sqrt(lams)
+    return _Gaps(dirs * roots, (dirs / roots).T, np.eye(lams.size)[None], scales, margins)
 
 
 def sample_dominated(
-    reference: SourceEnsemble,
-    seed: int,
-    n_samples: int,
-    shrink_floor: float = 0.0,
+    reference: SourceEnsemble, seed: int, n_samples: int, shrink_floor: float = 0.0
 ) -> list[SourceEnsemble]:
-    """Draw ensembles whose second moments are dominated by construction.
+    """Realize the samples verify_extremal scores, for the same seed.
 
-    The reference covariance is diagonalized as U L U^T; each sample
-    applies K = U D U^T with diagonal D uniform in [shrink_floor, 1] to
-    every atom, giving the exact second moment U D^2 L U^T <= U L U^T.
-    Drawing D = I would reproduce the reference ensemble itself.
+    Sample s maps every atom by K_s = R C_s^{1/2} R^+, C_s = I - Q_s
+    diag(s_s) Q_s^T (_gaps). The atoms lie in the range of R, so the
+    realized moment is R C_s R^T = Sigma_A - R Q_s diag(s_s) Q_s^T R^T.
     """
-    evecs = second_moment(reference).eigh[1]
-    diags = _contractions(evecs.shape[0], seed, n_samples, shrink_floor)
-    contractions = (evecs[None, :, :] * diags[:, None, :]) @ evecs.T
-    flat = reference.flat_values
-    shape = reference.values.shape
-    return [
-        SourceEnsemble(space=reference.space, values=(flat @ k.T).reshape(shape))
-        for k in contractions
-    ]
+    gaps = _gaps(second_moment(reference), seed, n_samples, shrink_floor)
+    whitened = reference.flat_values @ gaps.co_root.T @ gaps.bases
+    halves = whitened * np.sqrt(1.0 - gaps.scales)[:, None, :]
+    flats = halves @ (gaps.root @ gaps.bases).swapaxes(-1, -2)
+    values = flats.reshape(n_samples, *reference.values.shape)
+    return [SourceEnsemble(space=reference.space, values=v) for v in values]
 
 
 def _ones_fixing_orthogonal(n: int, rng: np.random.Generator) -> NDArray:
@@ -172,48 +186,34 @@ def verify_extremal(
 ) -> EnvelopeReport:
     """Check that no dominated sample beats the reference cost.
 
-    Sample 0 is the reference ensemble itself (the identity contraction),
-    which must attain the supremum exactly; the rest are the samples of
-    sample_dominated for the same seed. A cost depends on a sample only
-    through its second moment, and every contraction K_s = U diag(D_s) U^T
-    is diagonal in the eigenbasis U of Sigma_A (its held eigh), so no
-    sample matrix is formed. With L = diag(U^T Sigma_A U), the eigenvalues
-    read off Sigma_A itself, sample s has the moment U diag(D_s^2 L) U^T
-    and its domination gap Sigma_A - S_s has the eigenvalues
-    L (1 - D_s^2). With W = target_map - T input_map and c_i =
-    ||W U e_i||^2, estimator T scores sample s as sum_i D_si^2 L_i c_i +
-    <sigma_xi, W^T W>_F; sample 0 takes D = 1. The sample moments need no
-    PSD check of their own: each spectrum D_s^2 L lies entrywise between
-    min(L, 0) and L, and each L_i is a Rayleigh quotient of Sigma_A, so no
-    sample eigenvalue sits below the bottom of Sigma_A, which
-    BlockCovariance has already held to the PSD rule. When several
-    estimators are given the report carries the worst one: membership
-    requires every estimator's violation to stay within tol times its own
-    reference cost (covariance.within_slack, so rescaling the ensembles
-    never changes the verdict).
+    Sample 0 is the reference ensemble itself, which must attain the
+    supremum exactly; the rest are the samples of sample_dominated for the
+    same seed, scored from their gaps (_gaps) without forming any sample
+    matrix. With W = target_map - T input_map, estimator T costs
+    ref = <Sigma_A + sigma_xi, W^T W>_F on the reference and
+    ref - sum_j s_sj ||W R Q_s e_j||^2 on sample s, which holds for any
+    gap, commuting with Sigma_A or not. The report carries the worst
+    estimator; membership requires every estimator's violation to stay
+    within tol times its own reference cost (covariance.within_slack, so
+    rescaling the ensembles never changes the verdict).
     """
     if not estimators:
         raise ValueError("at least one estimator is required")
     if a.d * a.p != rep.d * rep.p:
         raise ShapeMismatch("ensemble dimension does not match the operator")
     sigma = second_moment(a)
-    evecs = sigma.eigh[1]
-    diags = _contractions(sigma.dim, seed, n_samples, shrink_floor)
-    evals = ((sigma.matrix @ evecs) * evecs).sum(axis=0)
-    squares = np.concatenate([np.ones((1, evals.size)), diags**2])
-    gaps = evals * (1.0 - squares[1:])
-    lambda_min_margin = float(gaps.min()) if n_samples else 0.0
-
+    gaps = _gaps(sigma, seed, n_samples, shrink_floor)
     w = np.stack([residual_map(spec, rep, est) for est in estimators])
-    weights = ((w @ evecs) ** 2).sum(axis=1) * evals
-    baseline = ((w @ spec.matrix) * w).sum(axis=(1, 2))
-    costs = weights @ squares.T + baseline[:, None]
-    refs = costs[:, 0]
+    refs = ((w @ (sigma.matrix + spec.matrix)) * w).sum(axis=(1, 2))
+    # ||W_e R Q_s e_j||^2, one row per estimator and (shared) basis
+    weights = (np.matmul((w @ gaps.root)[:, None], gaps.bases) ** 2).sum(axis=2)
+    drops = np.einsum("esj,sj->es", weights, gaps.scales)
+    costs = np.concatenate([refs[:, None], refs[:, None] - drops], axis=1)
     violations = (costs - refs[:, None]).max(axis=1)
     worst = int(np.argmax(violations))
     return EnvelopeReport(
         member=within_slack(-violations, refs, tol),
-        lambda_min_margin=lambda_min_margin,
+        lambda_min_margin=float(gaps.margins.min()) if n_samples else 0.0,
         cost_reference=float(refs[worst]),
         cost_samples=[(i, float(c)) for i, c in enumerate(costs[worst])],
         max_violation=float(violations[worst]),

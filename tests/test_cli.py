@@ -412,8 +412,29 @@ def test_verify_extremal_factorizes_the_reference_once(tmp_path, monkeypatch):
     code, report, _ = _run("verify_extremal", tmp_path)
     assert code == 0 and report["member"]
     # the held eigh of Sigma_A and of sigma_xi; Sigma_A's PSD check and the
-    # eigenbasis every sample is scored in share one
+    # eigenbasis every sample's gap is drawn in share one
     assert counts == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_verify_extremal_of_a_zero_source_costs_the_baseline_alone(tmp_path):
+    # Sigma_A = 0 retains no direction, so every gap is empty: each sample
+    # costs the reference <sigma_xi, W^T W>, every margin is zero, and the
+    # realized samples have zero atoms
+    config = json.loads((CONFIG_DIR / "verify_extremal.json").read_text())
+    values = np.zeros(np.shape(config["source"]["values"]))
+    config["source"]["values"] = values.tolist()
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["member"] is True and report["lambda_min_margin"] == 0.0
+    assert report["cost_reference"] == pytest.approx(0.685635358898909, rel=1e-12)
+    assert np.all(_series(tmp_path / "o")["cost"] == report["cost_reference"])
+    space = cli.me.MeasureSpace(weights=np.array(config["source"]["weights"]))
+    source = cli.me.SourceEnsemble(space=space, values=values)
+    samples = cli.env.sample_dominated(source, config["seed"], config["n_samples"])
+    assert len(samples) == config["n_samples"]
+    assert not any(s.values.any() for s in samples)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import envmm as E
 from envmm import envelope
+from envmm.cost_minimizer import residual_map
 from envmm.covariance import DEFAULT_TOL
 from helpers import (
     baseline,
@@ -270,7 +271,7 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
     seed, deficient, floor, n_samples
 ):
     # random shapes; a deficient reference has fewer atoms than dimensions,
-    # so Sigma_A has a null space the contractions act on too
+    # so Sigma_A has a null space that the gap family's R leaves out
     rng = np.random.default_rng(seed)
     d, p = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     dim = d * p
@@ -302,6 +303,46 @@ def test_verify_extremal_eigenbasis_scores_match_dense_samples(
     for sample in E.sample_dominated(a, seed, n_samples, floor):
         E.second_moment(sample)
 
+    # the scorer and the realization read any gap: a stub family with its own
+    # random orthonormal Q_s per sample must score, and realize, the dense
+    # S_s = Sigma_A - R Q_s diag(s_s) Q_s^T R^T
+    sigma = E.second_moment(a)
+    family = envelope._gaps(sigma, seed, n_samples, floor)
+    rank = family.root.shape[1]
+    bases = np.linalg.qr(rng.standard_normal((n_samples, rank, rank)))[0]
+    scales = rng.uniform(0.0, 1.0, (n_samples, rank))
+    factors = family.root @ bases
+    gap_mats = (factors * scales[:, None, :]) @ factors.swapaxes(1, 2)
+    stub = family._replace(
+        bases=bases, scales=scales, margins=np.linalg.eigvalsh(gap_mats)[:, 0]
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_gaps", lambda *args: stub)
+        report = E.verify_extremal(
+            a, spec, rep, ests, seed=seed, n_samples=n_samples, shrink_floor=floor
+        )
+        samples = E.sample_dominated(a, seed, n_samples, floor)
+    moments = np.concatenate([sigma.matrix[None], sigma.matrix - gap_mats]) + spec.matrix
+    maps = [residual_map(spec, rep, est) for est in ests]
+    table = np.array([((w @ moments) * w).sum(axis=(1, 2)) for w in maps])
+    row = int(np.argmin(np.abs(table[:, 0] - report.cost_reference)))
+    got = np.array([c for _, c in report.cost_samples])
+    assert np.all(np.abs(got - table[row]) <= 1e-12 * np.abs(table[row]))
+    # a realization mixes whitened coordinates (R^+ x) across directions, so
+    # the atoms' round-off grows by up to sqrt(L_max / L_min) over R
+    lams = (family.root**2).sum(axis=0)
+    mixing = np.sqrt(lams.max() / lams.min())
+    scale = np.abs(sigma.matrix).max()
+    for sample, want in zip(samples, moments[1:] - spec.matrix, strict=True):
+        assert np.abs(E.second_moment(sample).matrix - want).max() <= 1e-12 * scale * mixing
+    # C_s^{1/2} is the symmetric root: a zero gap leaves every atom in place,
+    # whatever Q_s
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_gaps", lambda *args: stub._replace(scales=0.0 * scales))
+        for sample in E.sample_dominated(a, seed, n_samples, floor):
+            err = np.abs(sample.values - a.values).max()
+            assert err <= 1e-12 * np.abs(a.values).max() * mixing
+
 
 def test_verify_extremal_rejects_a_representation_of_another_width():
     rng = np.random.default_rng(8)
@@ -320,8 +361,8 @@ def test_verify_extremal_rejects_a_representation_of_another_width():
     accepted=st.booleans(),
 )
 def test_verify_extremal_verdict_is_scale_free(seed, k, accepted):
-    # every sample stretches Sigma_A's eigenbasis by D^2 = 1 + eps, so it is
-    # not dominated (the converse of the principle) and, with no baseline,
+    # every sample's gap is -eps Sigma_A (signed scales -eps), so it is not
+    # dominated (the converse of the principle) and, with no baseline,
     # each estimator's violation is eps times its reference cost: half or
     # twice the slack DEFAULT_TOL * cost. The verdict must read the same
     # when the ensemble is rescaled
@@ -332,12 +373,19 @@ def test_verify_extremal_verdict_is_scale_free(seed, k, accepted):
     ests = [random_estimator(rng, rep) for _ in range(3)]
     eps = (0.5 if accepted else 2.0) * DEFAULT_TOL
 
-    def expanding(dim, seed, n_samples, shrink_floor):
-        return np.full((n_samples, dim), np.sqrt(1.0 + eps))
+    gaps = envelope._gaps
+
+    def expanding(sigma, seed, n_samples, shrink_floor):
+        family = gaps(sigma, seed, n_samples, shrink_floor)
+        lam_max = np.linalg.eigvalsh(sigma.matrix)[-1]
+        return family._replace(
+            scales=np.full_like(family.scales, -eps),
+            margins=np.full(n_samples, -eps * lam_max),
+        )
 
     scaled = E.SourceEnsemble(space=a.space, values=10.0 ** (k / 2) * a.values)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(envelope, "_contractions", expanding)
+        mp.setattr(envelope, "_gaps", expanding)
         report = E.verify_extremal(scaled, spec, rep, ests, seed=0, n_samples=3)
     assert report.member == accepted
     assert report.max_violation == pytest.approx(eps * report.cost_reference, rel=1e-3)
