@@ -77,10 +77,13 @@ MUTANTS = (
     Mutant("shrink_floor_check_removed", "envelope.py",
            "if not 0.0 <= shrink_floor <= 1.0:", IF_FALSE),
     Mutant("embedding_check_removed", "stationary.py",
-           "if not within_slack(emb_min, np.abs(sd.values).max()):", IF_FALSE),
-    Mutant("conjugate_symmetry_check_removed", "stationary.py",
-           "if not within_slack(-np.abs(resp - mirrored).max(), np.abs(resp).max()):",
-           IF_FALSE),
+           "if not within_slack(emb_min, np.abs(sd).max()):", IF_FALSE),
+    Mutant("kernel_length_check_removed", "stationary.py",
+           "if tk.size > n or ok.size > n:", IF_FALSE),
+    Mutant("observed_overflow_check_removed", "stationary.py",
+           "if not (np.isfinite(syx).all() and np.isfinite(sxx).all()):", IF_FALSE),
+    Mutant("wss_shape_check_removed", "stationary.py",
+           "if sa.shape[1:] != sb.shape[1:]:", IF_FALSE),
     Mutant("element_budget_removed", "cli.py", "if elements > ELEMENT_BUDGET:", IF_FALSE),
     # report fields and exit codes
     Mutant("member_true", "envelope.py",

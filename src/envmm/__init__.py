@@ -57,12 +57,9 @@ from .representation import (
 )
 from .stationary import (
     CovarianceSequence,
-    LTIModel,
     OracleReport,
-    SpectralDensity,
     circulant_matrix,
     circulant_oracle,
-    lti_blocks,
     spectral_density,
     wiener_symbol,
     wss_envelope_test,

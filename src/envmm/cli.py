@@ -306,7 +306,7 @@ def _run_wss_envelope(p: dict):
     report = {
         "kind": "wss_envelope",
         "member": ok,
-        "worst_frequency": float(sa.omegas[worst]),
+        "worst_frequency": 2.0 * np.pi * worst / n_freq,
         "worst_margin": float(margins[worst]),
         "n_freq": n_freq,
         "tol": p["tol"],
@@ -325,9 +325,10 @@ def _run_wss_filter(p: dict):
     for field in ("target_kernel", "observation_kernel"):
         if p[field].size > n:
             raise BadConfig(f"field '{field}' has {p[field].size} taps, more than 'n_freq' = {n}")
-    model = st.LTIModel.from_impulse_response(p["target_kernel"], p["observation_kernel"], n)
     try:
-        oracle = st.circulant_oracle(seq, model, n, seed=seed, rank_tol=p["rank_tol"])
+        oracle = st.circulant_oracle(
+            seq, p["target_kernel"], p["observation_kernel"], n, seed=seed, rank_tol=p["rank_tol"]
+        )
     except BadGrid as exc:
         raise BadConfig(f"field 'n_freq' is too small: {exc}") from exc
     except (DegenerateSpec, ShapeMismatch) as exc:

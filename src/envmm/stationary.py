@@ -77,65 +77,6 @@ class CovarianceSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralDensity:
-    """Hermitian d x d matrix per grid frequency omega_r = 2 pi r / N."""
-
-    values: NDArray
-
-    def __post_init__(self):
-        hold(self, "values", dtype=complex)
-        if self.values.ndim != 3 or self.values.shape[1] != self.values.shape[2]:
-            raise ShapeMismatch("spectral values must have shape (N, d, d)")
-
-    @property
-    def n_freq(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def omegas(self) -> NDArray:
-        return 2.0 * np.pi * np.arange(self.n_freq) / self.n_freq
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class LTIModel:
-    """Frequency responses of the target filter and the observation filter."""
-
-    target_response: NDArray
-    observation_response: NDArray
-
-    def __post_init__(self):
-        hold(self, "target_response", "observation_response", dtype=complex)
-        h, g = self.target_response, self.observation_response
-        if h.ndim != 1 or g.ndim != 1 or h.size != g.size:
-            raise ShapeMismatch("responses must be 1-d arrays of equal length")
-
-    @classmethod
-    def from_impulse_response(
-        cls, target_kernel: NDArray, observation_kernel: NDArray, n: int
-    ) -> "LTIModel":
-        """Responses of real periodized kernels on the length-n grid."""
-        h = np.zeros(n)
-        g = np.zeros(n)
-        tk = np.asarray(target_kernel, dtype=float)
-        ok = np.asarray(observation_kernel, dtype=float)
-        if tk.size > n or ok.size > n:
-            raise ShapeMismatch("kernel longer than the grid")
-        h[: tk.size] = tk
-        g[: ok.size] = ok
-        return cls(
-            target_response=np.fft.fft(h), observation_response=np.fft.fft(g)
-        )
-
-    @property
-    def n_freq(self) -> int:
-        return self.target_response.size
-
-
-@dataclass(frozen=True, eq=False)
 class OracleReport:
     """Agreement between the grid solver and the frequency-wise ratio."""
 
@@ -147,19 +88,20 @@ class OracleReport:
     target_energy_time: float
     target_energy_freq: float
     tau: NDArray
-    symbol_estimate: NDArray
     gaps: NDArray
 
     def __post_init__(self):
-        hold(self, "tau", "symbol_estimate", dtype=complex)
+        hold(self, "tau", dtype=complex)
         hold(self, "gaps")
 
 
-def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
+def spectral_density(seq: CovarianceSequence, n_freq: int) -> NDArray:
     """Matrix trigonometric sum of the lags on the length-n_freq grid.
 
-    The grid must resolve every lag: n_freq >= 2 max_lag + 1, otherwise
-    distinct lags alias onto each other and the result is meaningless.
+    Returns the Hermitian d x d matrix at every grid frequency
+    omega_r = 2 pi r / n_freq, an array of shape (n_freq, d, d). The grid
+    must resolve every lag: n_freq >= 2 max_lag + 1, otherwise distinct
+    lags alias onto each other and the result is meaningless.
     """
     if n_freq < 2 * seq.max_lag + 1:
         raise BadGrid(
@@ -171,46 +113,26 @@ def spectral_density(seq: CovarianceSequence, n_freq: int) -> SpectralDensity:
     # lags -L..L in one stack, the negative half as K[-tau] = K[tau]^T
     stacked = np.concatenate([seq.lags[:0:-1].transpose(0, 2, 1), seq.lags])
     vals = np.einsum("rt,tij->rij", phases, stacked)
-    vals = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    return SpectralDensity(values=vals)
+    return 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
 
 
 def wss_envelope_test(
-    sa: SpectralDensity, sb: SpectralDensity, tol: float = DEFAULT_TOL
+    sa: NDArray, sb: NDArray, tol: float = DEFAULT_TOL
 ) -> tuple[bool, NDArray]:
     """Frequency-wise covariance domination of sb by sa.
 
-    Returns the verdict and the margins, the bottom eigenvalue of sa - sb
-    at every grid frequency, from one batched eigensolve; margins.argmin()
-    is the worst frequency. The verdict is
-    within_slack(margins.min(), max|sa|, tol).
+    sa and sb are spectral densities, (n_freq, d, d) arrays as
+    spectral_density returns them. Returns the verdict and the margins,
+    the bottom eigenvalue of sa - sb at every grid frequency, from one
+    batched eigensolve; margins.argmin() is the worst frequency. The
+    verdict is within_slack(margins.min(), max|sa|, tol).
     """
-    if sa.n_freq != sb.n_freq:
+    if sa.shape[0] != sb.shape[0]:
         raise ShapeMismatch("spectral densities on different grids")
-    if sa.d != sb.d:
-        raise ShapeMismatch(f"channel counts differ: {sa.d} and {sb.d}")
-    margins = np.linalg.eigvalsh(sa.values - sb.values)[:, 0]
-    return within_slack(margins.min(), np.abs(sa.values).max(), tol), margins
-
-
-def lti_blocks(
-    source: SpectralDensity, model: LTIModel
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Observed spectral blocks of a filtered two-channel source.
-
-    Channel 0 feeds the target filter, channel 1 the observation filter:
-    Syy = |H|^2 K11, Syx = H conj(G) K12, Sxx = |G|^2 K22.
-    """
-    if source.d != 2:
-        raise ShapeMismatch(f"two channels required, got d={source.d}")
-    if source.n_freq != model.n_freq:
-        raise ShapeMismatch("spectral density and model grids differ")
-    h = model.target_response
-    g = model.observation_response
-    syy = np.abs(h) ** 2 * source.values[:, 0, 0]
-    syx = h * np.conj(g) * source.values[:, 0, 1]
-    sxx = np.abs(g) ** 2 * source.values[:, 1, 1]
-    return syy, syx, sxx
+    if sa.shape[1:] != sb.shape[1:]:
+        raise ShapeMismatch(f"channel counts differ: {sa.shape[1]} and {sb.shape[1]}")
+    margins = np.linalg.eigvalsh(sa - sb)[:, 0]
+    return within_slack(margins.min(), np.abs(sa).max(), tol), margins
 
 
 def wiener_symbol(
@@ -262,17 +184,11 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
     return 0.5 * (big + big.T)
 
 
-def _require_conjugate_symmetric(resp: NDArray, name: str) -> None:
-    """Reject a response that is not conjugate symmetric to
-    DEFAULT_TOL * max|resp| (within_slack)."""
-    n = resp.size
-    mirrored = np.conj(resp[(-np.arange(n)) % n])
-    if not within_slack(-np.abs(resp - mirrored).max(), np.abs(resp).max()):
-        raise ValueError(f"{name} must be conjugate symmetric (real kernel)")
-
-
 def _fourier_atoms(
-    evals: NDArray, evecs: NDArray, model: LTIModel, rng: np.random.Generator
+    evals: NDArray,
+    evecs: NDArray,
+    responses: tuple[NDArray, NDArray],
+    rng: np.random.Generator,
 ) -> ObservedEnsemble:
     """Filtered weighted atoms realizing the periodic covariance exactly.
 
@@ -298,8 +214,9 @@ def _fourier_atoms(
     A sinusoid is an eigenfunction of every LTI filter: the real part of
     a real atom filtered by the response R is the same part of the mode
     times R_sym(r) = (R(r) + conj R(-r)) / 2. So channel 0 is filtered by
-    the target response into y and channel 1 by the observation response
-    into x, without transforming a single atom. The waves come from one
+    the target response, responses[0], into y and channel 1 by the
+    observation response, responses[1], into x, without transforming a
+    single atom. The waves come from one
     table of n-th roots of unity, roots[(r t) mod n].
 
     Every phase is drawn in one call and all the atoms are built at once
@@ -316,9 +233,7 @@ def _fourier_atoms(
     # per-mode factor of the filtered wave, for channel 0 then channel 1
     factors = [
         0.5 * (resp + np.conj(resp[(-ticks) % n]))[freq] * amps * vecs[:, channel]
-        for channel, resp in enumerate(
-            (model.target_response, model.observation_response)
-        )
+        for channel, resp in enumerate(responses)
     ]
     self_conjugate = (freq == 0) | (2 * freq == n)
     waves = roots[np.outer(freq, ticks) % n]
@@ -336,21 +251,28 @@ def _fourier_atoms(
 
 def circulant_oracle(
     seq: CovarianceSequence,
-    model: LTIModel,
+    target_kernel: NDArray,
+    observation_kernel: NDArray,
     n: int,
     seed: int,
     rank_tol: float = DEFAULT_RANK_RTOL,
 ) -> OracleReport:
     """Independent grid check of the frequency-wise estimator.
 
+    The target kernel filters channel 0 of the sequence into y and the
+    observation kernel channel 1 into x; both are real impulse responses,
+    periodized on the length-n grid, where their DFTs H and G are the
+    frequency responses. The observed spectral blocks are
+    Syy = |H|^2 K11, Syx = H conj(G) K12 and Sxx = |G|^2 K22.
+
     Builds an exact finite ensemble for the period-n extension of the
     sequence from the half spectrum r = 0 .. n // 2 (the other half
-    mirrors it; see _fourier_atoms), filters it through the model mode by
-    mode, assembles the time-domain normal equations from it, solves
-    them, and reads the solution's symbol off the diagonal of F C F^-1,
-    F the DFT matrix and C the solution. That read-out takes the half
-    spectrum too: one rfft of C along axis 0 and one ifft along axis 1
-    give the rows r = 0 .. n // 2. C is real, so
+    mirrors it; see _fourier_atoms), filters it through the responses
+    mode by mode, assembles the time-domain normal equations from it,
+    solves them, and reads the solution's symbol off the diagonal of
+    F C F^-1, F the DFT matrix and C the solution. That read-out takes
+    the half spectrum too: one rfft of C along axis 0 and one ifft along
+    axis 1 give the rows r = 0 .. n // 2. C is real, so
     lam[n - r, n - s] = conj lam[r, s]: the diagonal at r > n / 2 is
     conj diag[n - r], and the off-diagonal maximum over those rows is
     the leakage over all of them. The report compares that symbol
@@ -360,8 +282,9 @@ def circulant_oracle(
     at the scale max|S| of the spectral density S, so rescaling the
     sequence never changes it, and when no eigenvalue of the half
     spectrum is positive, so that there is no atom to assemble. The
-    ratio is formed, and the observed blocks checked (syy finite, sxx by
-    wiener_symbol), before any atom is built or any phase drawn.
+    ratio is formed, and the observed blocks checked (all three finite,
+    sxx also by wiener_symbol), before any atom is built or any phase
+    drawn.
     """
     if seq.d != 2:
         raise ShapeMismatch(f"two channels required, got d={seq.d}")
@@ -369,15 +292,21 @@ def circulant_oracle(
         raise BadGrid(
             f"period {n} too short for lags up to {seq.max_lag}; need >= {2 * seq.max_lag + 2}"
         )
-    if model.n_freq != n:
-        raise ShapeMismatch("model grid does not match the requested period")
-    _require_conjugate_symmetric(model.target_response, "target response")
-    _require_conjugate_symmetric(model.observation_response, "observation response")
+    h = np.zeros(n)
+    g = np.zeros(n)
+    tk = np.asarray(target_kernel, dtype=float)
+    ok = np.asarray(observation_kernel, dtype=float)
+    if tk.size > n or ok.size > n:
+        raise ShapeMismatch("kernel longer than the grid")
+    h[: tk.size] = tk
+    g[: ok.size] = ok
+    h = np.fft.fft(h)
+    g = np.fft.fft(g)
 
     sd = spectral_density(seq, n)
-    evals, evecs = np.linalg.eigh(sd.values)
+    evals, evecs = np.linalg.eigh(sd)
     emb_min = float(evals[:, 0].min())
-    if not within_slack(emb_min, np.abs(sd.values).max()):
+    if not within_slack(emb_min, np.abs(sd).max()):
         raise DegenerateSpec(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"
@@ -388,17 +317,21 @@ def circulant_oracle(
             "grid, so there is no atom to observe"
         )
 
-    syy, syx, sxx = lti_blocks(sd, model)
+    syy = np.abs(h) ** 2 * sd[:, 0, 0]
+    syx = h * np.conj(g) * sd[:, 0, 1]
+    sxx = np.abs(g) ** 2 * sd[:, 1, 1]
     if not np.isfinite(syy).all():
         raise ValueError("the target block |H|^2 K11 overflows")
+    if not (np.isfinite(syx).all() and np.isfinite(sxx).all()):
+        raise ValueError("the observed block H conj(G) K12 or |G|^2 K22 overflows")
     tau, flagged = wiener_symbol(syx, sxx, rank_tol=rank_tol)
 
     rng = np.random.default_rng(seed)
-    system = assemble_normal_equations(_fourier_atoms(evals, evecs, model, rng))
+    system = assemble_normal_equations(_fourier_atoms(evals, evecs, (h, g), rng))
 
     solution = solve_pseudoinverse(system, rank_tol=rank_tol)
     if isinstance(solution, NoMinimizer):
-        symbol_estimate = np.zeros(n, dtype=complex)
+        estimate = np.zeros(n, dtype=complex)
         leakage = 0.0
         solver_failed = True
     else:
@@ -406,12 +339,12 @@ def circulant_oracle(
         half = np.fft.ifft(np.fft.rfft(solution.coeffs, axis=0), axis=1)
         rows = np.arange(n // 2 + 1)
         head = half[rows, rows]
-        symbol_estimate = np.concatenate([head, np.conj(head[1 : (n + 1) // 2][::-1])])
+        estimate = np.concatenate([head, np.conj(head[1 : (n + 1) // 2][::-1])])
         half[rows, rows] = 0
         leakage = float(np.abs(half).max())
         solver_failed = False
 
-    gaps = np.abs(symbol_estimate - tau)
+    gaps = np.abs(estimate - tau)
     return OracleReport(
         max_symbol_gap=float(gaps.max()),
         flagged_count=int(flagged.sum()),
@@ -421,6 +354,5 @@ def circulant_oracle(
         target_energy_time=system.target_energy,
         target_energy_freq=float(np.sum(syy.real)),
         tau=tau,
-        symbol_estimate=symbol_estimate,
         gaps=gaps,
     )

@@ -145,12 +145,17 @@ def count_eigensolves(monkeypatch) -> dict:
 
 
 def fft_filtered_atoms(
-    evals: np.ndarray, evecs: np.ndarray, model: E.LTIModel, rng: np.random.Generator
+    evals: np.ndarray,
+    evecs: np.ndarray,
+    target_response: np.ndarray,
+    observation_response: np.ndarray,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference route for the oracle's filtered atoms: build the unfiltered
     modes sqrt(lam) u e^{i (omega_r t + phi)} with the same phase draws,
-    split each into its real and imaginary atom, then filter every atom
-    channel through its response with an FFT round trip."""
+    split each into its real and imaginary atom, then filter channel 0
+    through the target response and channel 1 through the observation
+    response with an FFT round trip per atom."""
     n = evals.shape[0]
     omegas = 2.0 * np.pi * np.arange(n) / n
     freq, idx = np.nonzero(evals > 0.0)
@@ -161,8 +166,6 @@ def fft_filtered_atoms(
     atoms = np.empty((2 * freq.size,) + modes.shape[1:])
     atoms[0::2] = modes.real
     atoms[1::2] = modes.imag
-    y = np.fft.ifft(model.target_response * np.fft.fft(atoms[:, 0, :], axis=1), axis=1)
-    x = np.fft.ifft(
-        model.observation_response * np.fft.fft(atoms[:, 1, :], axis=1), axis=1
-    )
+    y = np.fft.ifft(target_response * np.fft.fft(atoms[:, 0, :], axis=1), axis=1)
+    x = np.fft.ifft(observation_response * np.fft.fft(atoms[:, 1, :], axis=1), axis=1)
     return y.real, x.real

@@ -720,6 +720,19 @@ def test_overflowing_kernel_is_refused_before_the_atoms(kernel, tmp_path, monkey
     assert built == []
 
 
+def test_overflowing_observation_kernel_is_named_an_overflow(tmp_path, capsys):
+    # |G|^2 = inf times a real K22 is inf + nan j: the oracle names the
+    # overflow of the observed blocks rather than an sxx off the real axis
+    config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
+    config["observation_kernel"] = [1e200]
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert "field 'target_kernel'" in err and "field 'observation_kernel'" in err
+    assert "overflows" in err and "real" not in err
+
+
 def test_a_series_that_is_not_finite_names_its_column():
     with pytest.raises(cli.BadConfig, match="series field 'gap' is not finite"):
         cli._require_finite({"kind": "wss_filter"}, [["freq_index", "gap"], [0, 0.0], [1, np.nan]])

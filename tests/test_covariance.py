@@ -253,13 +253,9 @@ _HELD = [
     (E.ObservedEnsemble, lambda: {"y": np.ones((2, 1)), "x": np.ones((2, 3))},
      {"space": _space()}, True),
     (E.CovarianceSequence, lambda: {"lags": np.array([np.eye(2), np.ones((2, 2))])}, {}, False),
-    (E.SpectralDensity, lambda: {"values": np.ones((3, 2, 2), dtype=complex)}, {}, False),
-    (E.LTIModel, lambda: {"target_response": np.ones(4, dtype=complex),
-                          "observation_response": np.ones(4, dtype=complex)}, {}, False),
     (E.SolutionSet, lambda: {"kernel_basis": np.ones((1, 3))},
      {"t0": E.HSOperator(coeffs=np.ones((2, 3))), "unique": False}, False),
-    (E.OracleReport, lambda: {"tau": np.ones(3, dtype=complex),
-                              "symbol_estimate": np.ones(3, dtype=complex), "gaps": np.ones(3)},
+    (E.OracleReport, lambda: {"tau": np.ones(3, dtype=complex), "gaps": np.ones(3)},
      {"max_symbol_gap": 1.0, "flagged_count": 0, "embedding_lambda_min": 1.0, "no_minimizer": False,
       "off_diagonal_leakage": 0.0, "target_energy_time": 1.0, "target_energy_freq": 1.0}, False),
 ]
