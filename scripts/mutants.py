@@ -131,6 +131,21 @@ MUTANTS = (
     Mutant("half_rows_off_by_one", "stationary.py",
            "rows = np.arange(n // 2 + 1)", "rows = np.arange(n // 2)"),
     Mutant("diagonal_left_unzeroed", "stationary.py", "        half[rows, rows] = 0\n", ""),
+    # the elliptic solve's closed-form transform of a constant forcing
+    Mutant("constant_slots_swapped", "representation.py",
+           "odd = buf[1::2]\n"
+           "        np.multiply(sines[::-1][0::2], f[:1], out=odd)\n"
+           "        odd /= sines[0::2]\n"
+           "        buf[0::2] = 0.0",
+           "odd = buf[0::2]\n"
+           "        np.multiply(sines[::-1][0::2], f[:1], out=odd)\n"
+           "        odd /= sines[0::2]\n"
+           "        buf[1::2] = 0.0"),
+    Mutant("constant_cosines_unreversed", "representation.py",
+           "np.multiply(sines[::-1][0::2],", "np.multiply(sines[0::2],"),
+    Mutant("constant_scale_dropped", "representation.py",
+           "np.multiply(sines[::-1][0::2], f[:1], out=odd)",
+           "np.multiply(sines[::-1][0::2], 1.0, out=odd)"),
 )
 
 

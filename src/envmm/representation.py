@@ -255,16 +255,28 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     sin(pi k / (2 n_x)) serves lam and both transforms: fl(pi / (2 n_x))
     is exactly fl(pi / n_x) / 2, so its odd entries are bitwise the
     sin(pi j / n_x) each transform reads.
+
+    A constant forcing c takes its first transform from the same table,
+    with no FFT: sum_j sin(pi j k / n_x) = cot(pi k / (2 n_x)) for odd k
+    and 0 for even k, and cos(pi k / (2 n_x)) = sines[n_x - k - 1], so
+    DST(f)_k = c * sines[n_x - k - 1] / sines[k - 1] at odd k. The solve
+    then makes one real FFT, where any other forcing makes two.
     """
-    f = np.asarray(f, dtype=float)
+    f = np.asarray(f, dtype=float).reshape(-1)
     if f.size != n_x - 1:
         raise ShapeMismatch(f"expected {n_x - 1} interior values, got {f.size}")
     sines = np.arange(1.0, n_x)
     sines *= np.pi / (2 * n_x)
     np.sin(sines, out=sines)
     buf = np.empty(n_x)
-    buf[1:] = f.reshape(-1)
-    buf = _dst1(buf, sines)
+    if (f == f[:1]).all():
+        odd = buf[1::2]
+        np.multiply(sines[::-1][0::2], f[:1], out=odd)
+        odd /= sines[0::2]
+        buf[0::2] = 0.0
+    else:
+        buf[1:] = f
+        buf = _dst1(buf, sines)
     lam = sines * (2.0 * n_x)
     lam *= lam
     lam += potential

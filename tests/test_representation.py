@@ -188,10 +188,17 @@ def test_green_apply_quadratic_exact():
     np.testing.assert_allclose(z, nodes * (1.0 - nodes) / 2.0, rtol=1e-12)
 
 
-def test_green_apply_matches_dense_solve():
-    rng = np.random.default_rng(12)
-    n_x, potential = 40, 2.3
-    f = rng.standard_normal(n_x - 1)
+@pytest.mark.parametrize("n_x", [2, 3, 40])
+@pytest.mark.parametrize("forcing", ["random", "constant", "zeros"])
+def test_green_apply_matches_dense_solve(n_x, forcing):
+    # a constant forcing takes the closed-form first transform, any other
+    # the two-FFT route; both against an independent dense solve
+    potential = 2.3
+    f = {
+        "random": np.random.default_rng(12).standard_normal(n_x - 1),
+        "constant": np.full(n_x - 1, -0.7),
+        "zeros": np.zeros(n_x - 1),
+    }[forcing]
     h = 1.0 / n_x
     main = np.full(n_x - 1, 2.0 / h**2 + potential)
     dense = np.diag(main) + np.diag(np.full(n_x - 2, -1.0 / h**2), 1)
@@ -199,6 +206,37 @@ def test_green_apply_matches_dense_solve():
     np.testing.assert_allclose(
         E.green_apply(n_x, potential, f), np.linalg.solve(dense, f), rtol=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "f, ffts",
+    [
+        (np.ones(99), 1),
+        (np.zeros(99), 1),
+        (np.full(99, -2.5), 1),
+        (np.r_[np.ones(98), 1.0 + 1e-15], 2),
+        (np.linspace(-1.0, 1.0, 99), 2),
+    ],
+    ids=["ones", "zeros", "negative", "last_entry_off", "ramp"],
+)
+def test_green_apply_ffts(monkeypatch, f, ffts):
+    # a constant forcing reads its sine transform off the table, so only
+    # the second transform runs an FFT
+    counts = count_calls(monkeypatch, np.fft, "rfft")
+    E.green_apply(100, 0.4, f)
+    assert counts == {"rfft": ffts}
+
+
+@pytest.mark.parametrize("ell, ffts", [(None, 1), ("varying", 2)])
+def test_elliptic_builder_ffts(monkeypatch, ell, ffts):
+    n_x = 64
+    if ell == "varying":
+        ell = tuple(np.linspace(0.5, 1.5, n_x - 1))
+    cfg = E.EllipticConfig(n_x=n_x, bump_width=0.1, bump_centers=(0.3, 0.7),
+                           alphas=(1.0, 1.0), ell=ell)
+    counts = count_calls(monkeypatch, np.fft, "rfft")
+    E.build_elliptic_representation(cfg)
+    assert counts == {"rfft": ffts}
 
 
 @pytest.mark.parametrize("n_x", [2, 3, 4, 7, 16, 17, 99])
