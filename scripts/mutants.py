@@ -108,7 +108,7 @@ MUTANTS = (
     Mutant("bound_constant_one", "cost_minimizer.py", "(2.0 + np.sqrt(2.0))", "1.0"),
     # the dominated-sample family: its gaps, margins and realization
     Mutant("gap_sign_flipped", "envelope.py",
-           "refs[:, None] - drops", "refs[:, None] + drops"),
+           "weights, 1.0 - gaps.scales)", "weights, 1.0 + gaps.scales)"),
     Mutant("margin_without_rayleigh", "envelope.py",
            "(lams * scales).min(", "scales.min("),
     Mutant("margin_null_space_dropped", "envelope.py",
@@ -119,6 +119,9 @@ MUTANTS = (
            "np.sqrt(1.0 - gaps.scales)", "(1.0 - gaps.scales)"),
     Mutant("realization_root_unsymmetric", "envelope.py",
            "gaps.co_root.T @ gaps.bases", "gaps.co_root.T"),
+    # the one weighted-Gram kernel
+    Mutant("gram_weighted_twice", "measure_ensemble.py",
+           "rows * np.sqrt(w)[:, None]", "rows * w[:, None]"),
     # the pseudoinverse's masked divide
     Mutant("divide_where_dropped", "cost_minimizer.py", "where=kept)", "where=~kept)"),
     Mutant("divide_ones_fill", "cost_minimizer.py",
@@ -131,6 +134,9 @@ MUTANTS = (
     Mutant("half_rows_off_by_one", "stationary.py",
            "rows = np.arange(n // 2 + 1)", "rows = np.arange(n // 2)"),
     Mutant("diagonal_left_unzeroed", "stationary.py", "        half[rows, rows] = 0\n", ""),
+    # the oracle's per-frequency wave table
+    Mutant("wave_table_shifted", "stationary.py",
+           "np.outer(np.arange(n // 2 + 1), ticks)", "np.outer(np.arange(1, n // 2 + 2), ticks)"),
     # the elliptic solve's closed-form transform of a constant forcing
     Mutant("constant_slots_swapped", "representation.py",
            "odd = buf[1::2]\n"

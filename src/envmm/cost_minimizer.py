@@ -21,7 +21,7 @@ from .covariance import (
     within_slack,
 )
 from .errors import ShapeMismatch
-from .measure_ensemble import SourceEnsemble, ensemble_distance, ensemble_norm, second_moment
+from .measure_ensemble import SourceEnsemble, _gram, ensemble_distance, ensemble_norm, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
 
 
@@ -158,14 +158,12 @@ def cost_decomposed(
 
 
 def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
-    """Build the shared Gram block, cross matrix, and target energy."""
+    """Build the shared Gram block (x's second moment, by _gram), cross matrix
+    and target energy; cross first, so y's weighted copy is freed before _gram."""
     w = obs.space.weights
-    gram = (obs.x * w[:, None]).T @ obs.x
     cross = (obs.y * w[:, None]).T @ obs.x
     energy = float(np.einsum("j,jk,jk->", w, obs.y, obs.y))
-    return NormalEquationSystem(
-        gram=0.5 * (gram + gram.T), cross=cross, target_energy=energy
-    )
+    return NormalEquationSystem(gram=_gram(obs.x, w), cross=cross, target_energy=energy)
 
 
 def solve_pseudoinverse(

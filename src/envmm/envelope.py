@@ -60,7 +60,7 @@ def is_member(
 
 
 # one dominated-sample family: each sample held as its domination gap (_gaps)
-_Gaps = namedtuple("_Gaps", "root co_root bases scales margins")
+_Gaps = namedtuple("_Gaps", "root co_root bases scales margins dropped")
 
 
 def _gaps(sigma: BlockCovariance, seed: int, n_samples: int, shrink_floor: float) -> _Gaps:
@@ -72,10 +72,11 @@ def _gaps(sigma: BlockCovariance, seed: int, n_samples: int, shrink_floor: float
     directions retained(L) keeps and co_root its pseudoinverse R^+;
     bases holds the orthonormal Q_s, (1, r, r) when the samples share
     one; scales the s_s (n_samples x r), in [0, 1] for a dominated sample;
-    margins each gap's bottom eigenvalue. Here Q = I and s_s = 1 - D_s^2,
-    D_s uniform in [shrink_floor, 1], drawn by one generator call
-    (n_samples x dim, row by row in sample order), so a seed picks the
-    same samples for every caller.
+    margins each gap's bottom eigenvalue; dropped the pair (U_d, L_d) of
+    the directions retained(L) drops, which no gap touches. Here Q = I and
+    s_s = 1 - D_s^2, D_s uniform in [shrink_floor, 1], drawn by one
+    generator call (n_samples x dim, row by row in sample order), so a
+    seed picks the same samples for every caller.
     """
     if not 0.0 <= shrink_floor <= 1.0:
         raise ValueError("shrink_floor must lie in [0, 1]")
@@ -90,7 +91,8 @@ def _gaps(sigma: BlockCovariance, seed: int, n_samples: int, shrink_floor: float
     # the gap's eigenvalues: L_j s_sj on the retained directions, 0 on the rest
     margins = (lams * scales).min(axis=1, initial=np.inf if kept.all() else 0.0)
     roots = np.sqrt(lams)
-    return _Gaps(dirs * roots, (dirs / roots).T, np.eye(lams.size)[None], scales, margins)
+    dropped = (evecs[:, ~kept], evals[~kept])
+    return _Gaps(dirs * roots, (dirs / roots).T, np.eye(lams.size)[None], scales, margins, dropped)
 
 
 def sample_dominated(
@@ -191,8 +193,11 @@ def verify_extremal(
     same seed, scored from their gaps (_gaps) without forming any sample
     matrix. With W = target_map - T input_map, estimator T costs
     ref = <Sigma_A + sigma_xi, W^T W>_F on the reference and
-    ref - sum_j s_sj ||W R Q_s e_j||^2 on sample s, which holds for any
-    gap, commuting with Sigma_A or not. The report carries the worst
+    <sigma_xi, W^T W> + sum_d L_d ||W u_d||^2 + sum_j (1 - s_sj) ||W R Q_s e_j||^2
+    on sample s, d over the dropped directions (u_d, L_d). That is ref
+    minus the gap's part for any gap, commuting with Sigma_A or not, but a
+    sum of nonnegative terms: it does not cancel when a sample costs far
+    less than ref, as the difference would. The report carries the worst
     estimator; membership requires every estimator's violation to stay
     within tol times its own reference cost (covariance.within_slack, so
     rescaling the ensembles never changes the verdict).
@@ -205,10 +210,13 @@ def verify_extremal(
     gaps = _gaps(sigma, seed, n_samples, shrink_floor)
     w = np.stack([residual_map(spec, rep, est) for est in estimators])
     refs = ((w @ (sigma.matrix + spec.matrix)) * w).sum(axis=(1, 2))
+    # the part no gap touches: sigma_xi and the directions retained drops
+    dirs, lams = gaps.dropped
+    untouched = ((w @ spec.matrix) * w).sum(axis=(1, 2)) + ((w @ dirs) ** 2).sum(axis=1) @ lams
     # ||W_e R Q_s e_j||^2, one row per estimator and (shared) basis
     weights = (np.matmul((w @ gaps.root)[:, None], gaps.bases) ** 2).sum(axis=2)
-    drops = np.einsum("esj,sj->es", weights, gaps.scales)
-    costs = np.concatenate([refs[:, None], refs[:, None] - drops], axis=1)
+    kept = np.einsum("esj,sj->es", weights, 1.0 - gaps.scales)
+    costs = np.concatenate([refs[:, None], untouched[:, None] + kept], axis=1)
     violations = (costs - refs[:, None]).max(axis=1)
     worst = int(np.argmax(violations))
     return EnvelopeReport(

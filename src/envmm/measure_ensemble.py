@@ -90,12 +90,16 @@ class SourceEnsemble:
         return self.values.reshape(self.space.m, self.d * self.p)
 
 
+def _gram(rows: NDArray, w: NDArray) -> NDArray:
+    """Weighted Gram sum_j w_j rows_j^T rows_j: the sqrt(w)-scaled rows times
+    their own transpose, which numpy runs as one BLAS syrk, exactly symmetric."""
+    scaled = rows * np.sqrt(w)[:, None]
+    return scaled.T @ scaled
+
+
 def second_moment(ens: SourceEnsemble) -> BlockCovariance:
-    """Weighted raw second moment sum_j w_j vec(a_j) vec(a_j)^T."""
-    flat = ens.flat_values
-    mat = (flat * ens.space.weights[:, None]).T @ flat
-    # symmetrize away matmul round-off so downstream PSD checks are clean
-    return BlockCovariance(matrix=0.5 * (mat + mat.T), d=ens.d, p=ens.p)
+    """Weighted raw second moment sum_j w_j vec(a_j) vec(a_j)^T, by _gram."""
+    return BlockCovariance(matrix=_gram(ens.flat_values, ens.space.weights), d=ens.d, p=ens.p)
 
 
 def cross_moment(

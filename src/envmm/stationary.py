@@ -170,7 +170,7 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
     periodized as c_{tau mod n} = K[tau], exact when n >= 2 max_lag + 1.
     Its eigenvalues are exactly the union of the spectral block
     eigenvalues on the length-n grid, which is what makes grid statements
-    exact.
+    exact. It is exactly symmetric as built, since c_{-tau} = c_tau^T.
     """
     if n < 2 * seq.max_lag + 1:
         raise BadGrid(f"period {n} cannot hold lags up to {seq.max_lag}")
@@ -179,9 +179,7 @@ def circulant_matrix(seq: CovarianceSequence, n: int) -> NDArray:
     for tau in range(-seq.max_lag, seq.max_lag + 1):
         wrap[tau % n] = seq.lag(tau)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    big = wrap[idx]  # (n, n, d, d)
-    big = big.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    return 0.5 * (big + big.T)
+    return wrap[idx].transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def _fourier_atoms(
@@ -216,8 +214,8 @@ def _fourier_atoms(
     times R_sym(r) = (R(r) + conj R(-r)) / 2. So channel 0 is filtered by
     the target response, responses[0], into y and channel 1 by the
     observation response, responses[1], into x, without transforming a
-    single atom. The waves come from one
-    table of n-th roots of unity, roots[(r t) mod n].
+    single atom. The waves are rows, gathered by frequency, of one table
+    roots[(r t) mod n] built once per frequency r = 0 .. n // 2.
 
     Every phase is drawn in one call and all the atoms are built at once
     into one ObservedEnsemble. The modes run in frequency-major order;
@@ -236,7 +234,7 @@ def _fourier_atoms(
         for channel, resp in enumerate(responses)
     ]
     self_conjugate = (freq == 0) | (2 * freq == n)
-    waves = roots[np.outer(freq, ticks) % n]
+    waves = roots[np.outer(np.arange(n // 2 + 1), ticks) % n][freq]
     filtered = []
     for factor in factors:
         modes = factor[:, None] * waves

@@ -65,7 +65,8 @@ def test_assemble_single_atom():
         space=space, y=np.array([[1.0, 3.0]]), x=np.array([[2.0]])
     )
     sys = E.assemble_normal_equations(obs)
-    np.testing.assert_array_equal(sys.gram, [[8.0]])
+    # (2 sqrt 2)^2 rounds to 8.000000000000002, one ulp above 8
+    np.testing.assert_array_max_ulp(sys.gram, np.array([[8.0]]), maxulp=1)
     np.testing.assert_array_equal(sys.cross, [[4.0], [12.0]])
     assert sys.target_energy == pytest.approx(20.0)
 
@@ -83,6 +84,25 @@ def test_assemble_matches_observed_moments():
     np.testing.assert_allclose(sys.gram, kxx, atol=1e-12)
     np.testing.assert_allclose(sys.cross, kyx, atol=1e-12)
     assert sys.target_energy == pytest.approx(np.trace(kyy))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31), near_max=st.booleans())
+def test_assembled_gram_is_the_x_channel_second_moment(seed, near_max):
+    # one kernel forms both, so they agree bit for bit and are exactly
+    # symmetric with no symmetrize pass, up to a 1.5e308 diagonal entry
+    rng = np.random.default_rng(seed)
+    m, q = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+    space = random_space(rng, m)
+    x = rng.standard_normal((m, q))
+    if near_max:
+        x[0, 0] = np.sqrt(1.5e308) / np.sqrt(space.weights[0])
+    obs = E.ObservedEnsemble(space=space, y=rng.standard_normal((m, 2)), x=x)
+    gram = E.assemble_normal_equations(obs).gram
+    moment = E.second_moment(E.SourceEnsemble(space=space, values=x[:, None, :]))
+    np.testing.assert_array_equal(gram, moment.matrix)
+    np.testing.assert_array_equal(gram, gram.T)
+    assert np.isfinite(gram).all()
 
 
 def test_residual_norm_is_the_dense_optimality_gap():
@@ -129,8 +149,8 @@ def test_assembly_does_not_depend_on_atom_order_or_splitting(seed, column_scale)
     whole = E.assemble_normal_equations(obs)
 
     w = obs.space.weights
-    gram = (obs.x * w[:, None]).T @ obs.x
-    np.testing.assert_array_equal(whole.gram, 0.5 * (gram + gram.T))
+    scaled = obs.x * np.sqrt(w)[:, None]
+    np.testing.assert_array_equal(whole.gram, scaled.T @ scaled)
     np.testing.assert_array_equal(whole.cross, (obs.y * w[:, None]).T @ obs.x)
     assert whole.target_energy == float(np.einsum("j,jk,jk->", w, obs.y, obs.y))
 

@@ -415,3 +415,33 @@ def test_verify_extremal_depends_on_atoms_only_through_moments(seed):
         other = E.verify_extremal(variant, spec, rep, ests, seed=5, n_samples=6)
         assert other.member == base.member
         assert other.cost_reference == pytest.approx(base.cost_reference, rel=1e-12)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is plain double on this platform",
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_extremal_scores_a_deep_sample_without_cancellation(seed):
+    # samples that keep D^2 ~ 1e-3 of every retained direction cost about
+    # 1e-3 of the reference; scored as the sum of what they keep, the series
+    # matches a long-double evaluation of the realized samples to 1e-13 of
+    # each sample's own cost, where ref minus the gap's part would cancel
+    rng = np.random.default_rng(seed)
+    a = random_ensemble(rng, m=24, d=2, p=4)
+    spec = random_baseline(rng, 8, scale=1e-4)
+    rep = random_representation(rng, 2, 4)
+    est = random_estimator(rng, rep)
+    family = envelope._gaps(E.second_moment(a), seed, 6, 0.0)
+    keep = rng.uniform(0.02, 0.04, family.scales.shape) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_gaps", lambda *args: family._replace(scales=1.0 - keep))
+        report = E.verify_extremal(a, spec, rep, [est], seed=seed, n_samples=6)
+        samples = E.sample_dominated(a, seed, 6)
+    w = residual_map(spec, rep, est).astype(np.longdouble)
+    for (_, got), sample in zip(report.cost_samples[1:], samples, strict=True):
+        flat = sample.flat_values.astype(np.longdouble)
+        moment = (flat * sample.space.weights[:, None]).T @ flat + spec.matrix
+        want = float(((w @ moment) * w).sum())
+        assert want < 3e-3 * report.cost_reference
+        assert abs(got - want) <= 1e-13 * want

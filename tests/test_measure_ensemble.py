@@ -85,6 +85,25 @@ def test_second_moment_symmetric_psd(seed):
     assert np.linalg.eigvalsh(cov).min() >= -1e-10 * max(1.0, abs(cov).max())
 
 
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31), near_max=st.booleans())
+def test_second_moment_is_exactly_symmetric_without_a_symmetrize_pass(seed, near_max):
+    # one syrk forms it, exactly symmetric as it stands; near_max puts the
+    # first diagonal entry at 1.5e308, which a pass 0.5 (m + m^T) would
+    # first double past the float range
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(rng)
+    if near_max:
+        values = ens.values.copy()
+        values[0, 0, 0] = np.sqrt(1.5e308) / np.sqrt(ens.space.weights[0])
+        ens = E.SourceEnsemble(space=ens.space, values=values)
+    cov = E.second_moment(ens).matrix
+    np.testing.assert_array_equal(cov, cov.T)
+    assert np.isfinite(cov).all()
+    if near_max:
+        assert cov[0, 0] == pytest.approx(1.5e308, rel=1e-12)
+
+
 def test_cross_moment_single_atom():
     space = E.MeasureSpace(weights=np.array([1.0]))
     a = E.SourceEnsemble(space=space, values=np.array([[[1.0, 0.0]]]))
