@@ -76,8 +76,7 @@ MUTANTS = (
            "if a.d * a.p != rep.d * rep.p:", IF_FALSE),
     Mutant("shrink_floor_check_removed", "envelope.py",
            "if not 0.0 <= shrink_floor <= 1.0:", IF_FALSE),
-    Mutant("embedding_check_removed", "stationary.py",
-           "if not within_slack(emb_min, np.abs(sd).max()):", IF_FALSE),
+    Mutant("embedding_check_removed", "stationary.py", "if not psd(evals):", IF_FALSE),
     Mutant("kernel_length_check_removed", "stationary.py",
            "if tk.size > n or ok.size > n:", IF_FALSE),
     Mutant("observed_overflow_check_removed", "stationary.py",
@@ -85,6 +84,19 @@ MUTANTS = (
     Mutant("wss_shape_check_removed", "stationary.py",
            "if sa.shape[1:] != sb.shape[1:]:", IF_FALSE),
     Mutant("element_budget_removed", "cli.py", "if elements > ELEMENT_BUDGET:", IF_FALSE),
+    Mutant("estimator_stack_ndim_unchecked", "cost_minimizer.py",
+           "if est.ndim not in (2, 3) or est.shape", "if est.shape"),
+    # the one PSD rule and the errors that name seq
+    Mutant("oracle_own_psd_rule", "stationary.py",
+           "if not psd(evals):", "if not within_slack(emb_min, np.abs(sd).max()):"),
+    Mutant("negative_sxx_not_degenerate", "stationary.py",
+           'raise DegenerateSpec("sxx must be nonnegative',
+           'raise ValueError("sxx must be nonnegative'),
+    # the solution set and the push-forward's symmetrization
+    Mutant("unique_with_a_kernel_line", "cost_minimizer.py",
+           "self.kernel_basis.shape[0] == 0", "self.kernel_basis.shape[0] <= 1"),
+    Mutant("push_forward_sum_first", "covariance.py",
+           "out = 0.5 * out + 0.5 * out.T", "out = 0.5 * (out + out.T)"),
     # report fields and exit codes
     Mutant("member_true", "envelope.py",
            "member=within_slack(-violations, refs, tol),", "member=True,"),

@@ -9,7 +9,6 @@ from .covariance import (
 )
 from .cost_minimizer import (
     CostSplit,
-    HSOperator,
     NoMinimizer,
     NormalEquationSystem,
     SolutionSet,

@@ -232,7 +232,7 @@ def _solution(system: cm.NormalEquationSystem, outcome) -> dict:
     return {
         "no_minimizer": False,
         "residual": cm.residual_norm(system, outcome.t0),
-        "hs_norm": outcome.t0.hs_norm,
+        "hs_norm": outcome.hs_norm,
         "kernel_dim": int(outcome.kernel_basis.shape[0]),
         "unique": bool(outcome.unique),
     }
@@ -268,11 +268,7 @@ def _run_verify_extremal(p: dict):
     _check_budget("n_operators", n_operators * rep.p_out * max(rep.q, dim))
     _check_budget("n_samples", (n_samples + 1) * dim)
     _check_budget("n_samples", n_operators * (n_samples + 1))
-    rng = np.random.default_rng(seed)
-    estimators = [
-        cm.HSOperator(coeffs=rng.standard_normal((rep.p_out, rep.q)))
-        for _ in range(n_operators)
-    ]
+    estimators = np.random.default_rng(seed).standard_normal((n_operators, rep.p_out, rep.q))
     # every other field is checked by now; what is left is the source's
     # second moment, which can overflow
     with _field("source"):

@@ -1,6 +1,7 @@
 """Quadratic projection cost and its normal equations.
 
-The estimator is a finite matrix acting on observed input coefficients.
+An estimator is a plain (p_out, q) float array acting on observed input
+coefficients, and a family of E estimators one (E, p_out, q) stack.
 Its mean-square error over an ensemble expands into a quadratic in the
 matrix entries whose Gram part is block diagonal with one shared q x q
 block, so a single symmetric eigendecomposition of that block serves the
@@ -23,30 +24,6 @@ from .covariance import (
 from .errors import ShapeMismatch
 from .measure_ensemble import SourceEnsemble, _gram, ensemble_distance, ensemble_norm, second_moment
 from .representation import ObservedEnsemble, RepresentationOperator
-
-
-@dataclass(frozen=True, eq=False)
-class HSOperator:
-    """Finite estimator matrix (p_out x q) with its Frobenius norm."""
-
-    coeffs: NDArray
-
-    def __post_init__(self):
-        hold(self, "coeffs")
-        if self.coeffs.ndim != 2:
-            raise ShapeMismatch("estimator coefficients must be a matrix")
-
-    @property
-    def p_out(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs, ord="fro"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +50,6 @@ class NormalEquationSystem:
         if self.target_energy < 0:
             raise ValueError("target energy must be nonnegative")
 
-    @property
-    def q(self) -> int:
-        return self.gram.shape[0]
-
-    @property
-    def p_out(self) -> int:
-        return self.cross.shape[0]
-
 
 @dataclass(frozen=True)
 class NoMinimizer:
@@ -97,16 +66,25 @@ class NoMinimizer:
 class SolutionSet:
     """Affine description of all minimizers: t0 + span of kernel directions.
 
-    kernel_basis is (k, q); every minimizer is t0 plus any matrix whose
-    rows lie in that span. unique means the kernel is trivial.
+    t0 is the minimal-norm minimizer (p_out x q) and kernel_basis is
+    (k, q); every minimizer is t0 plus any matrix whose rows lie in that
+    span. unique means the kernel is trivial.
     """
 
-    t0: HSOperator
+    t0: NDArray
     kernel_basis: NDArray
-    unique: bool
 
     def __post_init__(self):
-        hold(self, "kernel_basis")
+        hold(self, "t0", "kernel_basis")
+
+    @property
+    def unique(self) -> bool:
+        return self.kernel_basis.shape[0] == 0
+
+    @property
+    def hs_norm(self) -> float:
+        """Frobenius norm of t0, the smallest of any minimizer."""
+        return float(np.linalg.norm(self.t0, ord="fro"))
 
 
 class CostSplit(NamedTuple):
@@ -115,32 +93,35 @@ class CostSplit(NamedTuple):
     total: float
 
 
-def cost(obs: ObservedEnsemble, est: HSOperator) -> float:
+def cost(obs: ObservedEnsemble, est: NDArray) -> float:
     """Weighted mean-square error sum_j w_j ||y_j - T x_j||^2."""
-    if est.q != obs.q or est.p_out != obs.p_out:
-        raise ShapeMismatch(
-            f"estimator ({est.p_out},{est.q}) against observed ({obs.p_out},{obs.q})"
-        )
-    resid = obs.y - obs.x @ est.coeffs.T
+    if est.shape != (obs.p_out, obs.q):
+        raise ShapeMismatch(f"estimator {est.shape} against observed ({obs.p_out},{obs.q})")
+    resid = obs.y - obs.x @ est.T
     return float(np.einsum("j,jk,jk->", obs.space.weights, resid, resid))
 
 
 def residual_map(
-    spec: BlockCovariance, rep: RepresentationOperator, est: HSOperator
+    spec: BlockCovariance, rep: RepresentationOperator, est: NDArray
 ) -> NDArray:
-    """W = target_map - T input_map, once est and spec fit the operator."""
-    if (est.p_out, est.q) != (rep.p_out, rep.q):
-        raise ShapeMismatch("estimator does not match the representation")
+    """W = target_map - T input_map, once est and spec fit the operator.
+
+    est is one estimator (p_out x q) or a stack of them (E x p_out x q),
+    which gives the stack of their residual maps.
+    """
+    est = np.asarray(est, dtype=float)
+    if est.ndim not in (2, 3) or est.shape[-2:] != (rep.p_out, rep.q):
+        raise ShapeMismatch(f"estimator {est.shape} does not match ({rep.p_out},{rep.q})")
     if spec.dim != rep.d * rep.p:
         raise ShapeMismatch("baseline spec dimension does not match the operator")
-    return rep.target_map - est.coeffs @ rep.input_map
+    return rep.target_map - est @ rep.input_map
 
 
 def cost_decomposed(
     a: SourceEnsemble,
     spec: BlockCovariance,
     rep: RepresentationOperator,
-    est: HSOperator,
+    est: NDArray,
 ) -> CostSplit:
     """Cost split into source and baseline contributions.
 
@@ -168,7 +149,7 @@ def assemble_normal_equations(obs: ObservedEnsemble) -> NormalEquationSystem:
 
 def solve_pseudoinverse(
     sys: NormalEquationSystem, rank_tol: float = DEFAULT_RANK_RTOL
-) -> Union[HSOperator, NoMinimizer]:
+) -> Union[NDArray, NoMinimizer]:
     """Minimal-Frobenius-norm minimizer, if any minimizer exists.
 
     Eigenvalues at or below rank_tol relative to the top one are treated
@@ -188,7 +169,7 @@ def solve_pseudoinverse(
     if not within_slack(-violation, scale, CONSISTENCY_RTOL):
         return NoMinimizer(range_violation=violation)
     scaled = np.divide(cross_modes, evals, out=np.zeros_like(cross_modes), where=kept)
-    return HSOperator(coeffs=scaled @ evecs.T)
+    return scaled @ evecs.T
 
 
 def solution_set(
@@ -200,12 +181,12 @@ def solution_set(
         return anchor
     evals, evecs = sys.eigh
     kernel = evecs[:, ~retained(evals, rank_tol)].T
-    return SolutionSet(t0=anchor, kernel_basis=kernel, unique=kernel.shape[0] == 0)
+    return SolutionSet(t0=anchor, kernel_basis=kernel)
 
 
-def residual_norm(sys: NormalEquationSystem, est: HSOperator) -> float:
+def residual_norm(sys: NormalEquationSystem, est: NDArray) -> float:
     """Frobenius norm of T gram - cross, the first-order optimality gap."""
-    return float(np.linalg.norm(est.coeffs @ sys.gram - sys.cross, ord="fro"))
+    return float(np.linalg.norm(est @ sys.gram - sys.cross, ord="fro"))
 
 
 def coercivity_margin(sys: NormalEquationSystem) -> float:
@@ -218,13 +199,12 @@ def gram_spectrum(sys: NormalEquationSystem) -> NDArray:
     return sys.eigh[0]
 
 
-def system_cost(sys: NormalEquationSystem, est: HSOperator) -> float:
+def system_cost(sys: NormalEquationSystem, est: NDArray) -> float:
     """Cost evaluated through the assembled quadratic form."""
-    t = est.coeffs
     return float(
         sys.target_energy
-        - 2.0 * np.einsum("ik,ik->", t, sys.cross)
-        + np.einsum("ik,kl,il->", t, sys.gram, t)
+        - 2.0 * np.einsum("ik,ik->", est, sys.cross)
+        + np.einsum("ik,kl,il->", est, sys.gram, est)
     )
 
 
@@ -232,11 +212,11 @@ def cost_difference_bound(
     a1: SourceEnsemble,
     a2: SourceEnsemble,
     rep: RepresentationOperator,
-    est: HSOperator,
+    est: NDArray,
 ) -> float:
     """Lipschitz-type bound on the source-part cost gap between ensembles.
 
-    Returns (2 + sqrt(2)) * norm_bound^2 * max(1, hs_norm^2)
+    Returns (2 + sqrt(2)) * norm_bound^2 * max(1, ||T||_F^2)
     * dist(a1, a2) * (||a1|| + ||a2||). The joint norm_bound of the two
     maps, with any observation mixing already folded into input_map,
     makes this dominate |cost(a1) - cost(a2)| for any shared baseline;
@@ -247,7 +227,7 @@ def cost_difference_bound(
     return float(
         (2.0 + np.sqrt(2.0))
         * rep.norm_bound**2
-        * max(1.0, est.hs_norm**2)
+        * max(1.0, float(np.linalg.norm(est, ord="fro")) ** 2)
         * dist
         * scale
     )

@@ -6,9 +6,10 @@ major). Comparisons in the semidefinite order are quantitative: the
 verdict comes with the spectrum it was read from.
 
 The package's one numerical policy lives here too: the tolerances, the
-PSD rule of BlockCovariance, the rank rule `retained`, the one slack rule
-`within_slack` that every tolerance verdict is decided by, and the array
-rules `hold` and `held_eigh` by which value types keep arrays read-only.
+PSD rule `psd` (BlockCovariance's and the circulant oracle's), the rank
+rule `retained`, the one slack rule `within_slack` that every tolerance
+verdict is decided by, and the array rules `hold` and `held_eigh` by
+which value types keep arrays read-only.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def within_slack(statistic, scale, tol: float = DEFAULT_TOL) -> bool:
     return bool((statistic >= -tol * floor).all())
 
 
+def psd(evals: NDArray) -> bool:
+    """The package's one PSD rule on ascending eigenvalues, one matrix's or
+    a stack of block spectra (one per row) that together are one matrix's:
+    none below -PSD_TOL * lambda_max (within_slack)."""
+    return within_slack(evals[..., 0].min(), evals[..., -1].max(), PSD_TOL)
+
+
 def retained(evals: NDArray, rank_tol: float = DEFAULT_RANK_RTOL) -> NDArray:
     """Mask of eigenvalues above rank_tol times the largest (floored at the
     smallest normal float); relative, so rescaling never changes it."""
@@ -82,11 +90,11 @@ def retained(evals: NDArray, rank_tol: float = DEFAULT_RANK_RTOL) -> NDArray:
 class BlockCovariance:
     """Symmetric PSD matrix with its block layout (d components, p coeffs).
 
-    The package's one PSD rule: the matrix must be finite, symmetric to
-    SYM_RTOL relative to max|entry|, and have no eigenvalue of eigh (the
-    one held eigendecomposition) below -PSD_TOL * lambda_max. Both are
-    within_slack verdicts, so the zero matrix passes and rescaling never
-    changes them; violations raise DegenerateSpec. A plain n x n
+    The matrix must be finite, symmetric to SYM_RTOL relative to
+    max|entry|, and pass the PSD rule psd on the eigenvalues of eigh (the
+    one held eigendecomposition). Both are within_slack verdicts, so the
+    zero matrix passes and rescaling never changes them; violations raise
+    DegenerateSpec. A plain n x n
     covariance, sigma_xi say, takes the layout d = 1, p = n.
     """
 
@@ -108,10 +116,9 @@ class BlockCovariance:
             raise DegenerateSpec("covariance matrix must be finite")
         if not within_slack(-np.abs(mat - mat.T).max(), np.abs(mat).max(), SYM_RTOL):
             raise DegenerateSpec("covariance matrix must be symmetric")
-        evals = self.eigh[0]
-        if not within_slack(evals[0], evals[-1], PSD_TOL):
+        if not psd(self.eigh[0]):
             raise DegenerateSpec(
-                f"covariance has eigenvalue {evals[0]:.3e} below the PSD tolerance"
+                f"covariance has eigenvalue {self.eigh[0][0]:.3e} below the PSD tolerance"
             )
 
     @property
@@ -152,7 +159,7 @@ def push_forward(lin: NDArray, cov: BlockCovariance) -> BlockCovariance:
             f"map with {lin.shape} cannot act on dimension {cov.dim}"
         )
     out = lin @ cov.matrix @ lin.T
-    out = 0.5 * (out + out.T)
+    out = 0.5 * out + 0.5 * out.T  # halving first cannot overflow
     return BlockCovariance(matrix=out, d=1, p=lin.shape[0])
 
 

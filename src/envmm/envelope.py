@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cost_minimizer import HSOperator, residual_map
+from .cost_minimizer import residual_map
 from .covariance import DEFAULT_TOL, BlockCovariance, loewner_dominates, retained, within_slack
 from .errors import ShapeMismatch
 from .measure_ensemble import MeasureSpace, SourceEnsemble, second_moment
@@ -180,7 +180,7 @@ def verify_extremal(
     a: SourceEnsemble,
     spec: BlockCovariance,
     rep: RepresentationOperator,
-    estimators: list[HSOperator],
+    estimators: NDArray,
     seed: int,
     n_samples: int,
     tol: float = DEFAULT_TOL,
@@ -188,10 +188,12 @@ def verify_extremal(
 ) -> EnvelopeReport:
     """Check that no dominated sample beats the reference cost.
 
-    Sample 0 is the reference ensemble itself, which must attain the
-    supremum exactly; the rest are the samples of sample_dominated for the
-    same seed, scored from their gaps (_gaps) without forming any sample
-    matrix. With W = target_map - T input_map, estimator T costs
+    estimators is one (E, p_out, q) stack, E >= 1, scored at once through
+    the stack of its residual maps (residual_map). Sample 0 is the
+    reference ensemble itself, which must attain the supremum exactly;
+    the rest are the samples of sample_dominated for the same seed,
+    scored from their gaps (_gaps) without forming any sample matrix.
+    With W = target_map - T input_map, estimator T costs
     ref = <Sigma_A + sigma_xi, W^T W>_F on the reference and
     <sigma_xi, W^T W> + sum_d L_d ||W u_d||^2 + sum_j (1 - s_sj) ||W R Q_s e_j||^2
     on sample s, d over the dropped directions (u_d, L_d). That is ref
@@ -202,13 +204,15 @@ def verify_extremal(
     within tol times its own reference cost (covariance.within_slack, so
     rescaling the ensembles never changes the verdict).
     """
-    if not estimators:
+    if np.ndim(estimators) != 3:
+        raise ShapeMismatch("estimators must be one (E, p_out, q) stack")
+    if not len(estimators):
         raise ValueError("at least one estimator is required")
     if a.d * a.p != rep.d * rep.p:
         raise ShapeMismatch("ensemble dimension does not match the operator")
     sigma = second_moment(a)
     gaps = _gaps(sigma, seed, n_samples, shrink_floor)
-    w = np.stack([residual_map(spec, rep, est) for est in estimators])
+    w = residual_map(spec, rep, estimators)
     refs = ((w @ (sigma.matrix + spec.matrix)) * w).sum(axis=(1, 2))
     # the part no gap touches: sigma_xi and the directions retained drops
     dirs, lams = gaps.dropped

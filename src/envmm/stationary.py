@@ -28,6 +28,7 @@ from .covariance import (
     PSD_TOL,
     SYM_RTOL,
     hold,
+    psd,
     retained,
     within_slack,
 )
@@ -141,8 +142,9 @@ def wiener_symbol(
     """Frequency-wise ratio syx / sxx with the zero-fill convention.
 
     sxx must be real and nonnegative within PSD_TOL * max|sxx|
-    (within_slack). Returns (tau, flagged), the complex symbol and a
-    boolean flag per frequency. A frequency is flagged when
+    (within_slack); a negative sxx, a channel whose spectrum is not PSD,
+    raises DegenerateSpec. Returns (tau, flagged), the complex symbol and
+    a boolean flag per frequency. A frequency is flagged when
     covariance.retained drops its sxx, i.e. at or below rank_tol times
     the largest sxx; it carries no observation energy, and the symbol is
     zero there, mirroring the minimal-norm solve.
@@ -156,7 +158,7 @@ def wiener_symbol(
         raise ValueError("sxx must be real within tolerance")
     real = sxx.real
     if not within_slack(real.min(), scale, PSD_TOL):
-        raise ValueError("sxx must be nonnegative within tolerance")
+        raise DegenerateSpec("sxx must be nonnegative within tolerance")
     flagged = ~retained(real, rank_tol)
     tau = np.zeros_like(syx)
     np.divide(syx, real, out=tau, where=~flagged)
@@ -276,10 +278,12 @@ def circulant_oracle(
     the leakage over all of them. The report compares that symbol
     against the frequency-wise ratio; the two routes share no code
     beyond the spectral blocks. DegenerateSpec is
-    raised when the bottom spectral block eigenvalue fails within_slack
-    at the scale max|S| of the spectral density S, so rescaling the
-    sequence never changes it, and when no eigenvalue of the half
-    spectrum is positive, so that there is no atom to assemble. The
+    raised when the spectral block eigenvalues, which are those of the
+    period-n embedding circulant_matrix(seq, n), fail the PSD rule psd
+    that BlockCovariance applies to that matrix, so rescaling the
+    sequence never changes it; when no eigenvalue of the half spectrum
+    is positive, so that there is no atom to assemble; and when
+    wiener_symbol finds sxx = |G|^2 K22 negative, K22 below zero. The
     ratio is formed, and the observed blocks checked (all three finite,
     sxx also by wiener_symbol), before any atom is built or any phase
     drawn.
@@ -304,7 +308,7 @@ def circulant_oracle(
     sd = spectral_density(seq, n)
     evals, evecs = np.linalg.eigh(sd)
     emb_min = float(evals[:, 0].min())
-    if not within_slack(emb_min, np.abs(sd).max()):
+    if not psd(evals):
         raise DegenerateSpec(
             f"periodic extension has spectral eigenvalue {emb_min:.3e}; "
             f"a longer period may separate the lags"
@@ -334,7 +338,7 @@ def circulant_oracle(
         solver_failed = True
     else:
         # rows r = 0 .. n // 2 of F C F^-1; the rest mirror them
-        half = np.fft.ifft(np.fft.rfft(solution.coeffs, axis=0), axis=1)
+        half = np.fft.ifft(np.fft.rfft(solution, axis=0), axis=1)
         rows = np.arange(n // 2 + 1)
         head = half[rows, rows]
         estimate = np.concatenate([head, np.conj(head[1 : (n + 1) // 2][::-1])])

@@ -67,8 +67,8 @@ def random_representation(
 
 def random_estimator(
     rng: np.random.Generator, rep: E.RepresentationOperator, scale: float = 1.0
-) -> E.HSOperator:
-    return E.HSOperator(coeffs=scale * rng.standard_normal((rep.p_out, rep.q)))
+) -> np.ndarray:
+    return scale * rng.standard_normal((rep.p_out, rep.q))
 
 
 def coefficient_diagonal_representation(

@@ -107,10 +107,10 @@ def test_wss_filter_leakage_is_the_dense_off_diagonal_maximum(perturb, tmp_path,
     solutions = []
 
     def perturbed(*args, **kwargs):
-        coeffs = solve(*args, **kwargs).coeffs.copy()
+        coeffs = solve(*args, **kwargs)
         coeffs[0, 1] += perturb * np.abs(coeffs).max()
         solutions.append(coeffs)
-        return cli.cm.HSOperator(coeffs=coeffs)
+        return coeffs
 
     monkeypatch.setattr(cli.st, "solve_pseudoinverse", perturbed)
     for n in (16, 17):
@@ -145,9 +145,8 @@ def test_residual_is_the_optimality_gap_of_the_reported_solution(kind, tmp_path,
 
     def moved(system, **kwargs):
         out = solve(system, **kwargs)
-        seen["t"] = out.t0.coeffs + 1e-3 * np.abs(out.t0.coeffs).max()
-        t0 = cli.cm.HSOperator(coeffs=seen["t"])
-        return cli.cm.SolutionSet(t0=t0, kernel_basis=out.kernel_basis, unique=out.unique)
+        seen["t"] = out.t0 + 1e-3 * np.abs(out.t0).max()
+        return cli.cm.SolutionSet(t0=seen["t"], kernel_basis=out.kernel_basis)
 
     monkeypatch.setattr(cli.cm, "assemble_normal_equations", recorded)
     monkeypatch.setattr(cli.cm, "solution_set", moved)
@@ -815,3 +814,31 @@ def test_one_field_mutations_exit_cleanly(site, value):
             assert "field '" in err.getvalue()
             assert not (out / "report.json").exists()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("lag0", [
+    # lambda_min -4e-10 against lambda_max 2: the embedding is not PSD
+    [[1.0, 1.0 + 4e-10], [1.0 + 4e-10, 1.0]],
+    # K22 = -4e-10 against lambda_max 1: the same
+    [[1.0, 0.0], [0.0, -4e-10]],
+    # PSD within PSD_TOL * lambda_max = 1e-8, but sxx = |G|^2 K22 is negative
+    [[100.0, 0.0], [0.0, -4e-10]],
+])
+def test_wss_filter_names_seq_for_a_sequence_that_is_not_a_covariance(lag0, tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "wss_filter.json").read_text())
+    config.update(n_freq=16, seq={"lags": [lag0]})
+    cfg = tmp_path / "seq.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run(cfg, out_dir=tmp_path / "o") == 1
+    assert capsys.readouterr().err.startswith("error: field 'seq' on the 'n_freq' = 16 grid")
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**31 - 2])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 8, 12), (3, 1, 7), (4, 6, 1)])
+def test_one_stacked_draw_is_the_consecutive_estimator_draws(seed, shape):
+    # verify_extremal's estimators are one (E, p_out, q) draw, bitwise the E
+    # consecutive (p_out, q) draws of the same generator
+    stack = np.random.default_rng(seed).standard_normal(shape)
+    rng = np.random.default_rng(seed)
+    each = [rng.standard_normal(shape[1:]) for _ in range(shape[0])]
+    np.testing.assert_array_equal(stack, np.stack(each))

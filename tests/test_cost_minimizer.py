@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envmm as E
+from envmm.cost_minimizer import residual_map
 from helpers import (
     baseline,
     contracted_ensemble,
@@ -28,7 +29,7 @@ def test_cost_zero_estimator_is_target_energy():
     a = random_ensemble(rng, m=4, d=2, p=2)
     rep = random_representation(rng, 2, 2)
     obs = E.apply(rep, a)
-    zero = E.HSOperator(coeffs=np.zeros((rep.p_out, rep.q)))
+    zero = np.zeros((rep.p_out, rep.q))
     expected = float(
         np.einsum("j,jk,jk->", obs.space.weights, obs.y, obs.y)
     )
@@ -41,7 +42,7 @@ def test_cost_shape_guard():
     rep = random_representation(rng, 1, 2, p_out=2, q=3)
     obs = E.apply(rep, a)
     with pytest.raises(E.ShapeMismatch):
-        E.cost(obs, E.HSOperator(coeffs=np.zeros((2, 4))))
+        E.cost(obs, np.zeros((2, 4)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -115,8 +116,8 @@ def test_residual_norm_is_the_dense_optimality_gap():
     cross = sum(wj * np.outer(yj, xj) for wj, yj, xj in zip(w, obs.y, obs.x))
     sys = E.assemble_normal_equations(obs)
     t0 = E.solve_pseudoinverse(sys)
-    est = E.HSOperator(coeffs=t0.coeffs + rng.standard_normal(t0.coeffs.shape))
-    dense = np.sqrt(((est.coeffs @ gram - cross) ** 2).sum())
+    est = t0 + rng.standard_normal(t0.shape)
+    dense = np.sqrt(((est @ gram - cross) ** 2).sum())
     assert dense > 1e-3
     assert E.residual_norm(sys, est) == pytest.approx(dense, rel=1e-12)
 
@@ -198,14 +199,14 @@ def _assert_coercive_solution(sys):
     out = E.solution_set(sys)
     cross_norm = np.linalg.norm(sys.cross, "fro")
     assert out.unique and out.kernel_basis.shape[0] == 0
-    assert out.t0.hs_norm <= cross_norm / np.linalg.eigvalsh(sys.gram)[0] + 1e-12
+    assert out.hs_norm <= cross_norm / np.linalg.eigvalsh(sys.gram)[0] + 1e-12
     assert E.residual_norm(sys, out.t0) <= 1e-8 * (1.0 + cross_norm)
     return out
 
 
 def test_solve_coercive_diagonal():
     out = _assert_coercive_solution(_system(np.diag([2.0, 4.0]), [[2.0, 4.0]]))
-    np.testing.assert_allclose(out.t0.coeffs, [[1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(out.t0, [[1.0, 1.0]], atol=1e-14)
 
 
 def test_solve_coercive_apriori_bound():
@@ -221,8 +222,8 @@ def test_pseudoinverse_consistent_rank_deficient():
     # gram annihilates e2; cross stays inside the range
     sys = _system(np.diag([1.0, 0.0]), [[2.0, 0.0]])
     est = E.solve_pseudoinverse(sys)
-    assert isinstance(est, E.HSOperator)
-    np.testing.assert_allclose(est.coeffs, [[2.0, 0.0]], atol=1e-14)
+    assert isinstance(est, np.ndarray)
+    np.testing.assert_allclose(est, [[2.0, 0.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("eps, minimizer", [(1e-6, False), (1e-10, True)])
@@ -231,8 +232,8 @@ def test_pseudoinverse_consistency_threshold(eps, minimizer):
     # on either side of the CONSISTENCY_RTOL = 1e-8 threshold
     out = E.solve_pseudoinverse(_system(np.diag([1.0, 0.0]), [[1.0, eps]]))
     if minimizer:
-        assert isinstance(out, E.HSOperator)
-        np.testing.assert_array_equal(out.coeffs, [[1.0, 0.0]])
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
     else:
         assert isinstance(out, E.NoMinimizer)
         assert out.range_violation == eps
@@ -262,7 +263,7 @@ def test_pseudoinverse_verdict_is_scale_invariant(exponent, seed):
     gram = root.T @ root
     inside = rng.standard_normal((3, 2)) @ root
     outside = inside + rng.standard_normal((3, 4))
-    for cross, typed in ((inside, E.HSOperator), (outside, E.NoMinimizer)):
+    for cross, typed in ((inside, np.ndarray), (outside, E.NoMinimizer)):
         unit = E.solve_pseudoinverse(_system(gram, cross, energy=0.0))
         scaled = E.solve_pseudoinverse(
             _system(gram * scale, cross * scale, energy=0.0)
@@ -274,8 +275,8 @@ def test_pseudoinverse_verdict_is_scale_invariant(exponent, seed):
 def test_pseudoinverse_zero_system():
     sys = _system(np.zeros((2, 2)), np.zeros((1, 2)), energy=0.0)
     est = E.solve_pseudoinverse(sys)
-    assert isinstance(est, E.HSOperator)
-    assert est.hs_norm == 0.0
+    assert isinstance(est, np.ndarray)
+    assert not est.any()
 
 
 def test_pseudoinverse_minimal_norm():
@@ -295,8 +296,8 @@ def test_pseudoinverse_minimal_norm():
             1.0 + np.linalg.norm(cross, "fro")
         )
         shift = rng.standard_normal((rows, sol.kernel_basis.shape[0]))
-        other = E.HSOperator(coeffs=t0.coeffs + shift @ sol.kernel_basis)
-        assert other.hs_norm >= t0.hs_norm - 1e-12
+        other = t0 + shift @ sol.kernel_basis
+        assert np.linalg.norm(other, "fro") >= sol.hs_norm - 1e-12
         # cost is flat along the kernel
         c0, c1 = E.system_cost(sys, t0), E.system_cost(sys, other)
         assert abs(c1 - c0) <= 1e-10 * (1.0 + abs(c0))
@@ -316,11 +317,10 @@ def test_local_minimality_probes():
     obs = E.apply(rep, a)
     sys = E.assemble_normal_equations(obs)
     est = E.solve_pseudoinverse(sys)
-    assert isinstance(est, E.HSOperator)
+    assert isinstance(est, np.ndarray)
     base = E.cost(obs, est)
     for _ in range(50):
-        delta = rng.standard_normal(est.coeffs.shape)
-        probe = E.HSOperator(coeffs=est.coeffs + 1e-3 * delta)
+        probe = est + 1e-3 * rng.standard_normal(est.shape)
         assert E.cost(obs, probe) >= base - 1e-12 * (1.0 + base)
 
 
@@ -351,7 +351,7 @@ def test_cost_decomposed_zero_residual_map():
         target_map=target, input_map=np.eye(3), d=1, p=3
     )
     spec = random_baseline(rng, 3)
-    est = E.HSOperator(coeffs=target)
+    est = target
     split = E.cost_decomposed(a, spec, rep, est)
     assert split.total == pytest.approx(0.0, abs=1e-20)
 
@@ -408,7 +408,7 @@ def test_difference_bound_sign_cancellation_case():
         d=1,
         p=1,
     )
-    est = E.HSOperator(coeffs=np.array([[1.0]]))
+    est = np.array([[1.0]])
     spec = baseline(np.zeros((1, 1)))
     h1 = E.cost_decomposed(a1, spec, rep, est).source_part
     h2 = E.cost_decomposed(a2, spec, rep, est).source_part
@@ -432,3 +432,20 @@ def test_difference_bound_holds_generically(seed):
     h1 = E.cost_decomposed(a1, spec, rep, est).source_part
     h2 = E.cost_decomposed(a2, spec, rep, est).source_part
     assert abs(h1 - h2) <= E.cost_difference_bound(a1, a2, rep, est)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 2, 3), (3, 2), (5, 2, 4)])
+def test_residual_map_refuses_an_estimator_of_another_shape(shape):
+    # one estimator is (p_out, q) = (2, 3) and a stack (E, 2, 3); a 4-d
+    # array ending in (2, 3) is neither
+    rep = random_representation(np.random.default_rng(12), 1, 3, p_out=2, q=3)
+    with pytest.raises(E.ShapeMismatch):
+        residual_map(baseline(np.eye(3)), rep, np.zeros(shape))
+
+
+def test_solution_set_unique_follows_the_kernel_basis():
+    for k in range(3):
+        sol = E.SolutionSet(t0=np.ones((2, 3)), kernel_basis=np.eye(3)[:k])
+        assert sol.unique == (k == 0)
+    sol = E.solution_set(_system(np.diag([2.0, 1.0, 0.0]), [[1.0, 1.0, 0.0]]))
+    assert sol.kernel_basis.shape == (1, 3) and not sol.unique

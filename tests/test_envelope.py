@@ -116,7 +116,7 @@ def test_non_dominated_candidate_costs_its_order_margin_more():
         d=2,
         p=3,
     )
-    est = E.HSOperator(coeffs=np.zeros((1, 2)))
+    est = np.zeros((1, 2))
     spec = random_baseline(rng, 6, scale=0.3)
 
     def realized(ens):
@@ -202,8 +202,8 @@ def test_verify_extremal_zero_estimator():
     a = random_ensemble(rng, m=4, d=1, p=3)
     spec = baseline(np.zeros((3, 3)))
     rep = random_representation(rng, 1, 3)
-    zero = E.HSOperator(coeffs=np.zeros((rep.p_out, rep.q)))
-    report = E.verify_extremal(a, spec, rep, [zero], seed=2, n_samples=10)
+    zero = np.zeros((1, rep.p_out, rep.q))
+    report = E.verify_extremal(a, spec, rep, zero, seed=2, n_samples=10)
     assert report.member
     assert report.max_violation <= 0.0 + 1e-12 * (1 + report.cost_reference)
 
@@ -445,3 +445,33 @@ def test_verify_extremal_scores_a_deep_sample_without_cancellation(seed):
         want = float(((w @ moment) * w).sum())
         assert want < 3e-3 * report.cost_reference
         assert abs(got - want) <= 1e-13 * want
+
+
+def test_an_estimator_scores_the_same_alone_and_inside_a_stack():
+    # the stack is scored at once: estimator 0 alone and first of five gives
+    # the same cost row, and each slot's residual map is its estimator's
+    rng = np.random.default_rng(31)
+    a = random_ensemble(rng, m=6, d=2, p=3)
+    spec = random_baseline(rng, 6, scale=0.3)
+    rep = random_representation(rng, 2, 3, p_out=4, q=5)
+    stack = rng.standard_normal((5, rep.p_out, rep.q))
+    alone = E.verify_extremal(a, spec, rep, stack[:1], seed=4, n_samples=12)
+    inside = E.verify_extremal(a, spec, rep, stack, seed=4, n_samples=12)
+    row = np.array([c for _, c in alone.cost_samples])
+    got = np.array([c for _, c in inside.cost_samples])
+    assert np.all(np.abs(got - row) <= 1e-14 * np.abs(row))
+    maps = residual_map(spec, rep, stack)
+    for est, w in zip(stack, maps, strict=True):
+        want = residual_map(spec, rep, est)
+        assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_verify_extremal_takes_one_nonempty_stack():
+    rng = np.random.default_rng(32)
+    a = random_ensemble(rng, m=4, d=1, p=3)
+    rep = random_representation(rng, 1, 3)
+    spec = baseline(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="at least one"):
+        E.verify_extremal(a, spec, rep, np.zeros((0, rep.p_out, rep.q)), seed=0, n_samples=2)
+    with pytest.raises(E.ShapeMismatch, match="stack"):
+        E.verify_extremal(a, spec, rep, random_estimator(rng, rep), seed=0, n_samples=2)

@@ -76,3 +76,52 @@ def test_bench_pairs_summary_applies_the_claim_rule():
     assert not bench_pairs.summarize(pairs, better)["oracle"]["ops_per_s"]["claim"]
     text = bench_pairs.format_summary(bench_pairs.summarize(pairs[:10], better))
     assert "ops_per_s: median parent 8.2 change 9.2 (+12.2%), wins 9/10" in text
+
+
+def test_compare_outputs_counts_what_differs_per_kind(tmp_path):
+    # canned output trees of three runs; nothing is run
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+    )
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    runs = {
+        "minimize.a": ({"code": 0, "summary": "kind minimize\n"}, {"cost": 1.5, "unique": True},
+                       "eig_index,gram_eigenvalue\n0,0.25\n"),
+        "wss_filter.b": ({"code": 0, "summary": "kind wss_filter\n"}, {"max_symbol_gap": 4e-14},
+                         "freq_index,gap\n0,1e-15\n"),
+        "wss_filter.c": ({"code": 1, "summary": ""}, None, None),
+    }
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "runs.json").write_text(json.dumps({n: r[0] for n, r in runs.items()}))
+        for name, (_, report, series) in runs.items():
+            if report is not None:
+                (root / name).mkdir()
+                (root / name / "report.json").write_text(json.dumps(report))
+                (root / name / "series.csv").write_text(series)
+    same = compare_outputs.compare(tmp_path / "parent", tmp_path / "change")
+    assert same["identical"] and same["largest_move"] == 0.0
+    assert same["kinds"]["wss_filter"] == {"runs": 2, "identical": 2, "code": 0,
+                                           "summary": 0, "report": 0, "series": 0}
+
+    change = tmp_path / "change"
+    (change / "wss_filter.b" / "report.json").write_text(json.dumps({"max_symbol_gap": 5e-14}))
+    series = "freq_index,gap\n0,1.0000000000000002e-15\n"
+    (change / "wss_filter.b" / "series.csv").write_text(series)
+    (change / "minimize.a" / "report.json").write_text(json.dumps({"cost": 1.5, "unique": False}))
+    moved = json.loads((change / "runs.json").read_text())
+    moved["wss_filter.c"]["code"] = 0
+    (change / "runs.json").write_text(json.dumps(moved))
+    result = compare_outputs.compare(tmp_path / "parent", change)
+    assert not result["identical"]
+    assert result["runs"] == {"minimize.a": ["report"], "wss_filter.b": ["report", "series"],
+                              "wss_filter.c": ["code"]}
+    assert result["kinds"]["wss_filter"] == {"runs": 2, "identical": 0, "code": 1,
+                                             "summary": 0, "report": 1, "series": 1}
+    # a flipped bool is a difference but not a move; the largest move is 4e-14 -> 5e-14
+    assert result["largest_move"] == pytest.approx(0.2)
+    text = compare_outputs.format_result(result)
+    assert "differs    wss_filter.c: code" in text
+    assert text.splitlines()[-2].split() == ["all", "3", "0", "1", "0", "2", "1"]

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envmm as E
 import envmm.stationary as stationary
+from envmm.covariance import PSD_TOL
 from helpers import (
     count_calls,
     count_eigensolves,
@@ -444,7 +445,7 @@ def test_oracle_makes_two_ffts(monkeypatch):
 def test_embedding_verdict_is_scale_free(k, rel_gap):
     # lags K0 = I, K1 = c [[0, 1], [1, 0]] have spectral eigenvalues
     # 1 +- 2c cos(omega); c = (1 + rel_gap) / 2 dips to -rel_gap at omega = pi,
-    # against max|S| = 1 + rel_gap, at every scale 10^k
+    # against lambda_max = 2 + rel_gap, at every scale 10^k
     c = 0.5 * (1.0 + rel_gap)
     lags = 10.0**k * np.array([np.eye(2), [[0.0, c], [c, 0.0]]])
     seq = E.CovarianceSequence(lags=lags)
@@ -523,3 +524,48 @@ def test_model_kernel_longer_than_grid():
     for kernels in ((np.ones(9), [1.0]), ([1.0], np.ones(9))):
         with pytest.raises(E.ShapeMismatch, match="kernel longer than the grid"):
             E.circulant_oracle(_white_pair(0.5), *kernels, 8, seed=0)
+
+
+def _oracle_embeds(seq, n):
+    """The oracle's verdict on the period-n embedding: False when it refuses
+    it, True when it runs or refuses for another reason (an sxx below zero)."""
+    try:
+        E.circulant_oracle(seq, [1.0], [1.0], n, seed=0)
+    except E.DegenerateSpec as exc:
+        return "periodic extension" not in str(exc)
+    return True
+
+
+def _dense_embeds(seq, n):
+    try:
+        E.BlockCovariance(matrix=E.circulant_matrix(seq, n), d=1, p=2 * n)
+    except E.DegenerateSpec:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_lag=st.integers(0, 2),
+    extra=st.integers(0, 6),
+    ratio=st.sampled_from([-1e-8, -1e-9, -3e-10, -4e-11, -1e-12, 0.0, 1e-3]),
+    k=st.integers(-60, 60),
+)
+def test_oracle_embedding_verdict_is_the_block_covariance_psd_rule(seed, max_lag, extra, ratio, k):
+    # lag 0 of a PSD sequence shifted by -c I moves every spectral eigenvalue
+    # by -c, so lambda_min / lambda_max lands at ratio on either side of
+    # -PSD_TOL; the oracle accepts the period-n extension exactly when
+    # BlockCovariance accepts circulant_matrix(seq, n), at every scale 10^k,
+    # where the ratio lies a factor 2 or more away from -PSD_TOL
+    n = 2 * max_lag + 2 + extra
+    seq = random_sequence(np.random.default_rng(seed), max_lag=max_lag)
+    evals = np.linalg.eigvalsh(E.spectral_density(seq, n))
+    lo, hi = evals[:, 0].min(), evals[:, -1].max()
+    lags = seq.lags.copy()
+    lags[0] -= (lo - ratio * hi) / (1.0 - ratio) * np.eye(2)
+    for scale in (1.0, 10.0**k):
+        shifted = E.CovarianceSequence(lags=scale * lags)
+        dense = np.linalg.eigvalsh(E.circulant_matrix(shifted, n))
+        assume(not -2.0 * PSD_TOL <= dense[0] / dense[-1] <= -0.5 * PSD_TOL)
+        assert _oracle_embeds(shifted, n) == _dense_embeds(shifted, n)
