@@ -14,7 +14,9 @@ other checkout's.
 Prints each run that differs, then per kind the runs, the identical
 runs and the runs whose code, summary, report or series differ, and the
 largest relative move |a - b| / max(|a|, |b|) of any number that differs
-in a report or series. Exits 0 only if every run is identical.
+in a report or series, per kind and field (a report's top-level key or
+a series' column, largest first) before the table and overall after it.
+Exits 0 only if every run is identical.
 """
 
 from __future__ import annotations
@@ -82,24 +84,30 @@ def run_checkout(checkout: Path, configs: Path, out: Path) -> None:
         raise RuntimeError(f"{checkout}: the runs failed: {done.stderr[-2000:]}")
 
 
-def _numbers(text: str, name: str) -> list:
-    """The leaves of a report (JSON) or the cells of a series (CSV), in order."""
+def _leaves(text: str, name: str) -> list:
+    """The (field, leaf) pairs of a report (JSON) or series (CSV), in order.
+
+    A report leaf's field is its top-level key, and each key is a leaf of
+    its own field; a series cell's field is its column's header, which is
+    a cell too.
+    """
     if name.endswith(".csv"):
-        return [cell for row in csv.reader(text.splitlines()) for cell in row]
+        rows = list(csv.reader(text.splitlines()))
+        return [(field, cell) for row in rows for field, cell in zip(rows[0], row)]
     leaves = []
 
-    def walk(node):
+    def walk(field, node):
         if isinstance(node, dict):
             for key in sorted(node):
-                leaves.append(key)
-                walk(node[key])
+                leaves.append((field or key, key))
+                walk(field or key, node[key])
         elif isinstance(node, list):
             for item in node:
-                walk(item)
+                walk(field, item)
         else:
-            leaves.append(node)
+            leaves.append((field, node))
 
-    walk(json.loads(text))
+    walk(None, json.loads(text))
     return leaves
 
 
@@ -123,14 +131,18 @@ def compare(parent: Path, change: Path) -> dict:
 
     Returns {"runs": {name: [fields that differ]}, "kinds": {kind:
     {"runs", "identical", "code", "summary", "report", "series"}},
-    "largest_move": the largest relative move of a differing number,
-    "identical": bool}. A run missing on one side differs in every field.
+    "moves": {(kind, field): the largest relative move of a differing
+    number of that field}, largest first, "largest_move": the largest of
+    them, "identical": bool}. A report's field is its top-level key, a
+    series' its column. A run missing on one side differs in every field.
     """
     runs_p = json.loads((parent / "runs.json").read_text())
     runs_c = json.loads((change / "runs.json").read_text())
     missing = {"code": None, "summary": None}
-    result = {"runs": {}, "kinds": {}, "largest_move": 0.0}
+    result = {"runs": {}, "kinds": {}}
+    by_field = {}
     for name in sorted(set(runs_p) | set(runs_c)):
+        kind = name.split(".")[0]
         p, c = runs_p.get(name, missing), runs_c.get(name, missing)
         differs = [field for field in ("code", "summary") if p[field] != c[field]]
         for field, output in zip(("report", "series"), OUTPUTS):
@@ -138,15 +150,19 @@ def compare(parent: Path, change: Path) -> dict:
             if name not in runs_p or name not in runs_c or a != b:
                 differs.append(field)
             if a is not None and b is not None and a != b:
-                moves = map(_move, _numbers(a, output), _numbers(b, output))
-                result["largest_move"] = max(result["largest_move"], *moves, 0.0)
+                for (field, x), (_, y) in zip(_leaves(a, output), _leaves(b, output)):
+                    move = _move(x, y)
+                    if move > by_field.get((kind, field), 0.0):
+                        by_field[(kind, field)] = move
         counts = result["kinds"].setdefault(
-            name.split(".")[0], dict.fromkeys(("runs", "identical", *FIELDS), 0))
+            kind, dict.fromkeys(("runs", "identical", *FIELDS), 0))
         counts["runs"] += 1
         counts["identical"] += not differs
         for field in differs:
             counts[field] += 1
         result["runs"][name] = differs
+    result["moves"] = dict(sorted(by_field.items(), key=lambda item: (-item[1], item[0])))
+    result["largest_move"] = max(by_field.values(), default=0.0)
     result["identical"] = not any(result["runs"].values())
     return result
 
@@ -154,6 +170,8 @@ def compare(parent: Path, change: Path) -> dict:
 def format_result(result: dict) -> str:
     lines = [f"differs    {name}: {', '.join(fields)}"
              for name, fields in result["runs"].items() if fields]
+    lines += [f"moved      {kind} {field}: {move:.3g}"
+              for (kind, field), move in result["moves"].items()]
     lines.append(f"{'kind':<18}{'runs':>6}{'identical':>11}"
                  + "".join(f"{field:>9}" for field in FIELDS))
     total = dict.fromkeys(("runs", "identical", *FIELDS), 0)

@@ -149,21 +149,20 @@ MUTANTS = (
     # the oracle's per-frequency wave table
     Mutant("wave_table_shifted", "stationary.py",
            "np.outer(np.arange(n // 2 + 1), ticks)", "np.outer(np.arange(1, n // 2 + 2), ticks)"),
-    # the elliptic solve's closed-form transform of a constant forcing
-    Mutant("constant_slots_swapped", "representation.py",
-           "odd = buf[1::2]\n"
-           "        np.multiply(sines[::-1][0::2], f[:1], out=odd)\n"
-           "        odd /= sines[0::2]\n"
-           "        buf[0::2] = 0.0",
-           "odd = buf[0::2]\n"
-           "        np.multiply(sines[::-1][0::2], f[:1], out=odd)\n"
-           "        odd /= sines[0::2]\n"
-           "        buf[1::2] = 0.0"),
-    Mutant("constant_cosines_unreversed", "representation.py",
-           "np.multiply(sines[::-1][0::2],", "np.multiply(sines[0::2],"),
-    Mutant("constant_scale_dropped", "representation.py",
-           "np.multiply(sines[::-1][0::2], f[:1], out=odd)",
-           "np.multiply(sines[::-1][0::2], 1.0, out=odd)"),
+    # the elliptic solve's closed form for a constant forcing
+    Mutant("constant_kappa_continuum", "representation.py",
+           "kappa = 2 * n_x * math.asinh(root / (2 * n_x))", "kappa = root"),
+    Mutant("constant_factor_unreversed", "representation.py",
+           "np.multiply(a * a[::-1] * scale,", "np.multiply(a * a * scale,"),
+    Mutant("constant_exp_scale_dropped", "representation.py",
+           "scale = 1.0 / (1.0 + math.exp(-kappa))", "scale = 1.0"),
+    Mutant("constant_flat_scale_one", "representation.py",
+           "a, scale = np.arange(1.0, n_x) / n_x, 0.5", "a, scale = np.arange(1.0, n_x) / n_x, 1.0"),
+    # the CLI's number rule
+    Mutant("string_numbers_accepted", "cli.py",
+           'if arr.dtype.kind not in "iuf" or arr.ndim != ndim:', "if arr.ndim != ndim:"),
+    Mutant("bool_numbers_accepted", "cli.py",
+           "if suspect.size and any(", "if False and any("),
 )
 
 

@@ -20,6 +20,8 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 from typing import Callable
 
@@ -139,21 +141,26 @@ def _number(lo: float = -np.inf, hi: float = np.inf):
 
 def _numbers(raw) -> tuple[float, ...]:
     """A list of finite numbers."""
-    if not isinstance(raw, list):
-        raise TypeError(f"must be a list of numbers; got {raw!r}")
-    return tuple(_number()(v) for v in raw)
+    return tuple(_array(1)(raw).tolist())
 
 
 def _array(ndim: int):
-    """A nested list of finite numbers, ndim deep."""
+    """Finite JSON numbers nested ndim deep, as a float array; a string or a
+    bool, which numpy would read as a number, is refused."""
 
     def parse(raw) -> np.ndarray:
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim != ndim:
-            raise ValueError(f"must be {ndim}-dimensional")
+        arr = np.asarray(raw)
+        if arr.dtype == object and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(float)  # an integer beyond 64 bits is a JSON number too
+        if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+            raise TypeError(f"must be {ndim}-dimensional, numbers only; got {raw!r:.60}")
+        suspect = np.flatnonzero((arr == 0) | (arr == 1))
+        if suspect.size and any(isinstance(reduce(getitem, index, raw), bool)
+                                for index in zip(*np.unravel_index(suspect, arr.shape))):
+            raise TypeError("must hold numbers only; got a bool")
         if not np.isfinite(arr).all():
             raise ValueError("must hold finite numbers")
-        return arr
+        return arr.astype(float, copy=False)
 
     return parse
 
@@ -167,7 +174,8 @@ def _ensemble(raw) -> me.SourceEnsemble:
     """Inline weights and (m, d, p) values."""
     if not (isinstance(raw, dict) and "weights" in raw and "values" in raw):
         raise TypeError("must give weights and (m, d, p) values")
-    return me.SourceEnsemble(space=me.MeasureSpace(weights=raw["weights"]), values=raw["values"])
+    weights, values = _array(1)(raw["weights"]), _array(3)(raw["values"])
+    return me.SourceEnsemble(space=me.MeasureSpace(weights=weights), values=values)
 
 
 def _sequence(raw) -> st.CovarianceSequence:

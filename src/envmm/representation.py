@@ -256,27 +256,29 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     is exactly fl(pi / n_x) / 2, so its odd entries are bitwise the
     sin(pi j / n_x) each transform reads.
 
-    A constant forcing c takes its first transform from the same table,
-    with no FFT: sum_j sin(pi j k / n_x) = cot(pi k / (2 n_x)) for odd k
-    and 0 for even k, and cos(pi k / (2 n_x)) = sines[n_x - k - 1], so
-    DST(f)_k = c * sines[n_x - k - 1] / sines[k - 1] at odd k. The solve
-    then makes one real FFT, where any other forcing makes two.
+    A constant forcing c is solved exactly, with no FFT: at x = i / n_x,
+    z = c a rev(a) / (1 + exp(-kappa)), a = -expm1(-kappa x) / sqrt(V), where
+    V = potential = 4 n_x^2 sinh^2(kappa / (2 n_x)), and z = c x rev(x) / 2 at
+    V = 0. rev(x) = (n_x - i) / n_x: one expm1 pass, z exactly symmetric.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.size != n_x - 1:
         raise ShapeMismatch(f"expected {n_x - 1} interior values, got {f.size}")
+    if (f == f[:1]).all():
+        a, scale = np.arange(1.0, n_x) / n_x, 0.5
+        if potential != 0:
+            root = math.sqrt(potential)
+            kappa = 2 * n_x * math.asinh(root / (2 * n_x))
+            np.expm1(np.multiply(a, -kappa, out=a), out=a)
+            a /= -root
+            scale = 1.0 / (1.0 + math.exp(-kappa))
+        return np.multiply(a * a[::-1] * scale, f[:1], out=a)
     sines = np.arange(1.0, n_x)
     sines *= np.pi / (2 * n_x)
     np.sin(sines, out=sines)
     buf = np.empty(n_x)
-    if (f == f[:1]).all():
-        odd = buf[1::2]
-        np.multiply(sines[::-1][0::2], f[:1], out=odd)
-        odd /= sines[0::2]
-        buf[0::2] = 0.0
-    else:
-        buf[1:] = f
-        buf = _dst1(buf, sines)
+    buf[1:] = f
+    buf = _dst1(buf, sines)
     lam = sines * (2.0 * n_x)
     lam *= lam
     lam += potential

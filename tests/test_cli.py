@@ -816,6 +816,100 @@ def test_one_field_mutations_exit_cleanly(site, value):
     assert peak < 32 * 2**20
 
 
+def _numeric_leaves(node, path=()):
+    """The path of every number in a config, bools excepted, in every list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)):
+            yield from _numeric_leaves(child, path + (key,))
+        elif isinstance(child, (int, float)) and not isinstance(child, bool):
+            yield path + (key,)
+
+
+_NUMERIC_LEAVES = [
+    (kind, leaf)
+    for kind in ALL_KINDS
+    for leaf in _numeric_leaves(json.loads((CONFIG_DIR / f"{kind}.json").read_text()))
+]
+
+
+def _run_quietly(config, tmp):
+    """cli.run on config written into tmp: (exit code, stderr, report bytes
+    or None)."""
+    cfg, out, err = Path(tmp) / "config.json", Path(tmp) / "o", io.StringIO()
+    cfg.write_text(json.dumps(config))
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.run(cfg, out_dir=out)
+    report = out / "report.json"
+    return code, err.getvalue(), report.read_bytes() if report.exists() else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaf=st.sampled_from(_NUMERIC_LEAVES), as_text=st.booleans(), flag=st.booleans())
+def test_a_string_or_bool_in_place_of_a_number_exits_one(leaf, as_text, flag):
+    kind, path = leaf
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = json.dumps(node[path[-1]]) if as_text else flag
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, report = _run_quietly(config, tmp)
+    assert code == 1 and report is None
+    # the message says what is wrong: a number (or integer) is wanted
+    assert err.startswith(f"error: field '{path[0]}'") and re.search("number|integer", err)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("minimize", ("target_map",), [["1.5", True, 0.0]]),
+    ("minimize", ("target_map",), [[1.5, True, 0.0], [0.0, 1.0, -0.5]]),
+    ("minimize", ("source", "weights"), [1.0, "1.0", 1.0, 1.0]),
+    ("envelope_check", ("candidate", "values", 2, 1), [True, 0.1]),
+    ("elliptic_demo", ("alphas",), [1.0, False]),
+    ("elliptic_demo", ("ell",), ["1"] * 63),
+])
+def test_numbers_given_as_strings_or_bools_name_their_field(kind, field, value, tmp_path):
+    config = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+    node = config
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    code, err, _ = _run_quietly(config, tmp_path)
+    assert code == 1 and err.startswith(f"error: field '{field[0]}'") and "numbers only" in err
+
+
+def test_an_integer_beyond_64_bits_is_a_number(tmp_path):
+    config = json.loads((CONFIG_DIR / "minimize.json").read_text())
+    config["source"]["weights"][0] = 10**20
+    code, err, _ = _run_quietly(config, tmp_path)
+    assert code == 0, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_x=st.integers(2, 300),
+    potential=st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    k=st.integers(-20, 20),
+)
+def test_a_constant_ell_is_the_default_and_scales_the_gains(n_x, potential, k):
+    config = json.loads((CONFIG_DIR / "elliptic_demo.json").read_text())
+    config.update(n_x=n_x, potential=potential)
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for ell in (None, 1.0, 2.0**k):
+            if ell is not None:
+                config["ell"] = [ell] * (n_x - 1)
+            runs.append(_run_quietly(config, tmp))
+    (code, _, default), (code_ones, _, ones), (code_scaled, _, scaled) = runs
+    assert (code_ones, ones) == (code, default)
+    assert code_scaled == code
+    if default is not None:
+        before, after = json.loads(default), json.loads(scaled)
+        assert after["component_gains"] == [2.0**k * g for g in before["component_gains"]]
+        for verdict in ("transfer_ok", "no_minimizer", "unique", "kernel_dim"):
+            assert after.get(verdict) == before.get(verdict)
+
+
 @pytest.mark.parametrize("lag0", [
     # lambda_min -4e-10 against lambda_max 2: the embedding is not PSD
     [[1.0, 1.0 + 4e-10], [1.0 + 4e-10, 1.0]],

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envmm as E
 import envmm.representation as representation
@@ -191,8 +195,8 @@ def test_green_apply_quadratic_exact():
 @pytest.mark.parametrize("n_x", [2, 3, 40])
 @pytest.mark.parametrize("forcing", ["random", "constant", "zeros"])
 def test_green_apply_matches_dense_solve(n_x, forcing):
-    # a constant forcing takes the closed-form first transform, any other
-    # the two-FFT route; both against an independent dense solve
+    # a constant forcing takes the closed-form solution, any other the
+    # two-FFT route; both against an independent dense solve
     potential = 2.3
     f = {
         "random": np.random.default_rng(12).standard_normal(n_x - 1),
@@ -211,23 +215,22 @@ def test_green_apply_matches_dense_solve(n_x, forcing):
 @pytest.mark.parametrize(
     "f, ffts",
     [
-        (np.ones(99), 1),
-        (np.zeros(99), 1),
-        (np.full(99, -2.5), 1),
+        (np.ones(99), 0),
+        (np.zeros(99), 0),
+        (np.full(99, -2.5), 0),
         (np.r_[np.ones(98), 1.0 + 1e-15], 2),
         (np.linspace(-1.0, 1.0, 99), 2),
     ],
     ids=["ones", "zeros", "negative", "last_entry_off", "ramp"],
 )
 def test_green_apply_ffts(monkeypatch, f, ffts):
-    # a constant forcing reads its sine transform off the table, so only
-    # the second transform runs an FFT
+    # a constant forcing is solved in closed form, with no FFT
     counts = count_calls(monkeypatch, np.fft, "rfft")
     E.green_apply(100, 0.4, f)
     assert counts == {"rfft": ffts}
 
 
-@pytest.mark.parametrize("ell, ffts", [(None, 1), ("varying", 2)])
+@pytest.mark.parametrize("ell, ffts", [(None, 0), ("varying", 2)])
 def test_elliptic_builder_ffts(monkeypatch, ell, ffts):
     n_x = 64
     if ell == "varying":
@@ -253,26 +256,89 @@ def test_dst1_matches_dense_sine_matrix(n_x):
     )
 
 
-@pytest.mark.parametrize("potential", [0.0, 1.3, 50.0])
+# the accuracy sweep: {0} and 23 potentials from 1e-2 to 1e9, plus 1.3 and 50
+_POTENTIALS = [0.0, 1.3, 50.0, *np.logspace(-2.0, 9.0, 23).tolist()]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is plain double on this platform",
+)
+@pytest.mark.parametrize("potential", _POTENTIALS)
 def test_green_apply_matches_exact_discrete_solution(potential):
     # unit forcing: x(1-x)/2 solves the difference equation exactly for
-    # V = 0; for V > 0 the discrete solution is 1/V minus a cosh mode with
-    # cosh(theta) = 1 + V h^2 / 2, written as sinh products to avoid
-    # cancellation
+    # V = 0; for V > 0 the discrete solution is (1 - cosh(kappa (x - 1/2)) /
+    # cosh(kappa / 2)) / V with 4 n^2 sinh^2(kappa / (2 n)) = V, evaluated
+    # in long double, the cosh ratio written with decaying exponentials
     n_x = 100_000
-    i = np.arange(1, n_x)
+    L = np.longdouble
+    i = np.arange(1, n_x).astype(L)
     if potential == 0.0:
-        exact = i / n_x * (1.0 - i / n_x) / 2.0
+        exact = i / n_x * ((n_x - i) / n_x) / 2
     else:
-        theta = 2.0 * np.arcsinh(np.sqrt(potential) / (2.0 * n_x))
-        exact = (
-            2.0
-            * np.sinh(theta * i / 2.0)
-            * np.sinh(theta * (n_x - i) / 2.0)
-            / (potential * np.cosh(theta * n_x / 2.0))
-        )
+        kappa = 2 * n_x * np.arcsinh(np.sqrt(L(potential)) / (2 * n_x))
+        dist = np.abs(2 * i - n_x) / (2 * n_x)  # |x - 1/2|
+        ratio = np.exp(kappa * (dist - L(0.5))) + np.exp(-kappa * (dist + L(0.5)))
+        exact = (1 - ratio / (1 + np.exp(-kappa))) / L(potential)
     z = E.green_apply(n_x, potential, np.ones(n_x - 1))
-    assert np.abs(z - exact).max() <= 1e-10 * np.abs(exact).max()
+    assert np.abs(z - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def _thomas(n_x, potential, c):
+    """Exact rational solve of -z_{i-1} + (2 + V h^2) z_i - z_{i+1} = c h^2
+    by Thomas elimination: V and c are binary floats, so exactly rational."""
+    diag = 2 + Fraction(potential) / n_x**2
+    rhs = Fraction(c) / n_x**2
+    primes, ys = [], []
+    for _ in range(n_x - 1):
+        prev_c, prev_y = (primes[-1], ys[-1]) if primes else (Fraction(0), Fraction(0))
+        denom = diag + prev_c
+        primes.append(Fraction(-1) / denom)
+        ys.append((rhs + prev_y) / denom)
+    z = [ys[-1]]
+    for cp, y in zip(primes[-2::-1], ys[-2::-1]):
+        z.append(y - cp * z[-1])
+    return np.array([float(v) for v in z[::-1]])
+
+
+@pytest.mark.parametrize("n_x", [2, 3, 8, 64])
+@pytest.mark.parametrize("potential", [0.0, 0.5, 2.3, 1e4])
+def test_constant_forcing_matches_exact_rational_solve(n_x, potential):
+    c = -0.7
+    exact = _thomas(n_x, potential, c)
+    z = E.green_apply(n_x, potential, np.full(n_x - 1, c))
+    np.testing.assert_allclose(z, exact, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("potential", [0.0, 1.3, 50.0])
+def test_constant_forcing_matches_the_transform_route(potential):
+    # the closed form against the two DST-I transforms of the same
+    # constant, run directly: (2 / n) DST(DST(f) / lam)
+    n_x = 100_000
+    k = np.arange(1, n_x)
+    sines = np.sin(k * (np.pi / (2 * n_x)))
+    lam = (2.0 * n_x * sines) ** 2 + potential
+    buf = representation._dst1(np.r_[0.0, np.full(n_x - 1, 3.0)], sines)
+    buf[1:n_x] /= lam
+    via_transforms = representation._dst1(buf[:n_x], sines)[1:n_x] * (2.0 / n_x)
+    z = E.green_apply(n_x, potential, np.full(n_x - 1, 3.0))
+    assert np.abs(z - via_transforms).max() <= 1e-11 * np.abs(z).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_x=st.integers(2, 300),
+    potential=st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    c=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+)
+def test_constant_forcing_is_finite_symmetric_and_linear(n_x, potential, c):
+    z = E.green_apply(n_x, potential, np.full(n_x - 1, c))
+    assert np.isfinite(z).all()
+    assert np.array_equal(z, z[::-1])
+    scaled = c * E.green_apply(n_x, potential, np.ones(n_x - 1))
+    assert (np.abs(z - scaled) <= 2 * np.spacing(np.abs(scaled))).all()
 
 
 def _full_grid_profile(n_x, width, center):

@@ -125,3 +125,42 @@ def test_compare_outputs_counts_what_differs_per_kind(tmp_path):
     text = compare_outputs.format_result(result)
     assert "differs    wss_filter.c: code" in text
     assert text.splitlines()[-2].split() == ["all", "3", "0", "1", "0", "2", "1"]
+
+
+def test_compare_outputs_names_the_largest_move_of_each_field(tmp_path):
+    # canned output trees of two elliptic runs; nothing is run. A round-off
+    # residual moves by 0.3 while the gains move by 2e-12: each field
+    # reports its own largest move, so the residual hides neither
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+    )
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    sides = {
+        "parent": ({"component_gains": [0.5, 0.25], "residual": 7e-16, "transfer_ok": True},
+                   {"residual": 1e-16}, "n_in,truncation_residual\n1,2.0\n2,0.5\n"),
+        "change": ({"component_gains": [0.5, 0.25 * (1 + 2e-12)], "residual": 1e-15,
+                    "transfer_ok": True},
+                   {"residual": 1e-16}, "n_in,truncation_residual\n1,2.0\n2,0.5000000001\n"),
+    }
+    for side, (report_a, report_b, series) in sides.items():
+        root = tmp_path / side
+        root.mkdir()
+        runs = {"elliptic_demo.a": {"code": 0, "summary": ""},
+                "minimize.b": {"code": 0, "summary": ""}}
+        (root / "runs.json").write_text(json.dumps(runs))
+        for name, report in (("elliptic_demo.a", report_a), ("minimize.b", report_b)):
+            (root / name).mkdir()
+            (root / name / "report.json").write_text(json.dumps(report))
+            (root / name / "series.csv").write_text(series if name.startswith("ell") else "i\n0\n")
+    result = compare_outputs.compare(tmp_path / "parent", tmp_path / "change")
+    moves = result["moves"]
+    assert list(moves) == [("elliptic_demo", "residual"), ("elliptic_demo", "truncation_residual"),
+                           ("elliptic_demo", "component_gains")]
+    assert moves[("elliptic_demo", "residual")] == pytest.approx(0.3)
+    assert moves[("elliptic_demo", "truncation_residual")] == pytest.approx(2e-10)
+    assert moves[("elliptic_demo", "component_gains")] == pytest.approx(2e-12, rel=1e-3)
+    assert result["largest_move"] == moves[("elliptic_demo", "residual")]
+    text = compare_outputs.format_result(result).splitlines()
+    assert "moved      elliptic_demo component_gains: 2e-12" in text
+    assert text[-1] == "largest relative move of a differing number: 0.3"
