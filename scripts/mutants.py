@@ -149,15 +149,25 @@ MUTANTS = (
     # the oracle's per-frequency wave table
     Mutant("wave_table_shifted", "stationary.py",
            "np.outer(np.arange(n // 2 + 1), ticks)", "np.outer(np.arange(1, n // 2 + 2), ticks)"),
-    # the elliptic solve's closed form for a constant forcing
+    # the elliptic solve's closed form for a constant forcing, on the whole
+    # grid and on each bump's support
     Mutant("constant_kappa_continuum", "representation.py",
            "kappa = 2 * n_x * math.asinh(root / (2 * n_x))", "kappa = root"),
     Mutant("constant_factor_unreversed", "representation.py",
-           "np.multiply(a * a[::-1] * scale,", "np.multiply(a * a * scale,"),
+           "z *= a[::-1][:k]", "z *= a[:k]"),
     Mutant("constant_exp_scale_dropped", "representation.py",
            "scale = 1.0 / (1.0 + math.exp(-kappa))", "scale = 1.0"),
-    Mutant("constant_flat_scale_one", "representation.py",
-           "a, scale = np.arange(1.0, n_x) / n_x, 0.5", "a, scale = np.arange(1.0, n_x) / n_x, 1.0"),
+    Mutant("constant_flat_scale_one", "representation.py", "scale = 0.5", "scale = 1.0"),
+    Mutant("constant_mirror_off_by_one", "representation.py",
+           "a[k:] += n_x - last - first - k", "a[k:] += n_x + 1 - last - first - k"),
+    Mutant("constant_support_shifted", "representation.py",
+           "first, last, k = support.start + 1, support.stop,",
+           "first, last, k = support.start + 2, support.stop + 1,"),
+    Mutant("negative_potential_accepted", "representation.py",
+           "if not potential >= 0:", IF_FALSE),
+    # the bump profile's mask-free mollifier
+    Mutant("mollifier_clamp_dropped", "representation.py",
+           "        np.maximum(s, 0.0, out=s)\n", ""),
     # the CLI's number rule
     Mutant("string_numbers_accepted", "cli.py",
            'if arr.dtype.kind not in "iuf" or arr.ndim != ndim:', "if arr.ndim != ndim:"),

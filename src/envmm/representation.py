@@ -243,6 +243,34 @@ def _dst1(buf: NDArray, sines: NDArray) -> NDArray:
     return out
 
 
+def _constant_solution(n_x: int, potential: float, c: float | NDArray, support: slice) -> NDArray:
+    """Exact solution of -z'' + potential * z = c at the interior nodes
+    support selects (an index into the n_x - 1 interior values).
+
+    At x = i / n_x, z = c a(x) a(1 - x) scale with a(x) = -expm1(-kappa x) /
+    sqrt(V), scale = 1 / (1 + exp(-kappa)) and V = potential = 4 n_x^2
+    sinh^2(kappa / (2 n_x)); at V = 0, a(x) = x, scale = 1 / 2. One arange
+    holds i, then n_x - i reversed (on the whole grid, i read reversed): one
+    expm1 pass gives both factors, and z is exactly symmetric.
+    """
+    first, last, k = support.start + 1, support.stop, support.stop - support.start
+    a = np.arange(first, last + 1.0 + (k if k < n_x - 1 else 0))
+    a[k:] += n_x - last - first - k  # n_x - last .. n_x - first
+    a /= n_x
+    scale = 0.5
+    if potential != 0:
+        root = math.sqrt(potential)
+        kappa = 2 * n_x * math.asinh(root / (2 * n_x))
+        np.expm1(np.multiply(a, -kappa, out=a), out=a)
+        a /= -root
+        scale = 1.0 / (1.0 + math.exp(-kappa))
+    z = a[:k]
+    z *= a[::-1][:k]
+    z *= scale
+    z *= c
+    return z
+
+
 def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     """Solve -z'' + potential * z = f on (0, 1) with zero boundary values.
 
@@ -254,25 +282,16 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
     z = (2 / n_x) DST(DST(f) / lam), exact up to round-off. One table of
     sin(pi k / (2 n_x)) serves lam and both transforms: fl(pi / (2 n_x))
     is exactly fl(pi / n_x) / 2, so its odd entries are bitwise the
-    sin(pi j / n_x) each transform reads.
-
-    A constant forcing c is solved exactly, with no FFT: at x = i / n_x,
-    z = c a rev(a) / (1 + exp(-kappa)), a = -expm1(-kappa x) / sqrt(V), where
-    V = potential = 4 n_x^2 sinh^2(kappa / (2 n_x)), and z = c x rev(x) / 2 at
-    V = 0. rev(x) = (n_x - i) / n_x: one expm1 pass, z exactly symmetric.
+    sin(pi j / n_x) each transform reads. A constant forcing is solved
+    exactly, with no FFT (_constant_solution). The potential must be >= 0.
     """
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.size != n_x - 1:
         raise ShapeMismatch(f"expected {n_x - 1} interior values, got {f.size}")
+    if not potential >= 0:
+        raise ValueError(f"potential must be >= 0; got {potential}")
     if (f == f[:1]).all():
-        a, scale = np.arange(1.0, n_x) / n_x, 0.5
-        if potential != 0:
-            root = math.sqrt(potential)
-            kappa = 2 * n_x * math.asinh(root / (2 * n_x))
-            np.expm1(np.multiply(a, -kappa, out=a), out=a)
-            a /= -root
-            scale = 1.0 / (1.0 + math.exp(-kappa))
-        return np.multiply(a * a[::-1] * scale, f[:1], out=a)
+        return _constant_solution(n_x, potential, f[:1], slice(0, n_x - 1))
     sines = np.arange(1.0, n_x)
     sines *= np.pi / (2 * n_x)
     np.sin(sines, out=sines)
@@ -290,18 +309,21 @@ def green_apply(n_x: int, potential: float, f: NDArray) -> NDArray:
 
 
 def _mollifier(s: NDArray) -> NDArray:
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return out
+    """exp(-1 / (1 - s^2)) for |s| < 1, else exp(-1 / 0) = 0 (1 - s^2 clamped), in place of s."""
+    with np.errstate(over="ignore", divide="ignore"):
+        np.multiply(s, s, out=s)
+        np.subtract(1.0, s, out=s)
+        np.maximum(s, 0.0, out=s)
+        np.divide(-1.0, s, out=s)
+    return np.exp(s, out=s)
 
 
 def _source_profile(cfg: EllipticConfig, center: float) -> tuple[slice, NDArray]:
     """Interior nodal values of the component's spatial profile.
 
     Returns the range of interior indices where the profile can be
-    nonzero and its values there: a bump is evaluated only on nodes
-    within one grid step of |x - center| < bump_width. Bumps are
+    nonzero and its values there, in a new array: a bump is evaluated
+    only on nodes within one grid step of |x - center| < bump_width. Bumps are
     normalized to unit discrete mass h * sum g = 1 so the forcing they
     inject is width-independent; the flat profile is the constant 1 on
     the whole grid (not normalized), matching the unit forcing benchmark.
@@ -311,15 +333,19 @@ def _source_profile(cfg: EllipticConfig, center: float) -> tuple[slice, NDArray]
         return slice(0, n_x - 1), np.ones(n_x - 1)
     first = max(1, math.floor(max(center - cfg.bump_width, 0.0) * n_x) - 1)
     last = min(n_x - 1, math.ceil(min(center + cfg.bump_width, 1.0) * n_x) + 1)
-    nodes = np.arange(first, last + 1) / n_x
-    raw = _mollifier((nodes - center) / cfg.bump_width)
+    s = np.arange(first, last + 1.0)
+    s /= n_x
+    s -= center
+    s /= cfg.bump_width
+    raw = _mollifier(s)
     mass = raw.sum() / n_x
     if mass <= 0.0:
         raise BadConfig(
             f"field 'bump_width' {cfg.bump_width} at center {center} misses every "
             "grid node"
         )
-    return slice(first - 1, last), raw / mass
+    raw /= mass
+    return slice(first - 1, last), raw
 
 
 def build_elliptic_representation(
@@ -335,22 +361,21 @@ def build_elliptic_representation(
     and builder metadata (grid step, per-component gains).
 
     The discrete solution operator G (green_apply) is symmetric, so
-    gamma_j = h <G g_j, ell> = h <g_j, G ell>: one solve w = G ell gives
-    every gain, each read off the support of g_j alone. Each is numpy's
-    pairwise sum of g_j * w there, not a BLAS dot, which a threaded BLAS
-    splits by its thread count, so the gains do not depend on it.
+    gamma_j = h <G g_j, ell> = h <g_j, G ell>, with w = G ell read on the
+    support of g_j alone. For the default ell = 1 and bumps, w is the
+    closed form (_constant_solution) evaluated on each support only, so no
+    array of length n_x is made; an explicit ell or flat profiles take one
+    solve on the whole grid. Each gain is numpy's pairwise sum of g_j * w,
+    not a BLAS dot, which a threaded BLAS would split by its thread count.
     """
-    d, p = cfg.d, cfg.basis_dim
-    ell = (
-        np.ones(cfg.n_x - 1)
-        if cfg.ell is None
-        else np.asarray(cfg.ell, dtype=float)
-    )
-    w = green_apply(cfg.n_x, cfg.potential, ell)
+    d, p, n_x, v = cfg.d, cfg.basis_dim, cfg.n_x, cfg.potential
+    ell = np.ones(n_x - 1) if cfg.ell is None and cfg.bump_width is None else cfg.ell
+    w = None if ell is None else green_apply(n_x, v, np.asarray(ell, dtype=float))
     gains = []
     for center in cfg.bump_centers:
         support, g = _source_profile(cfg, center)
-        gains.append(float(np.sum(g * w[support])) / cfg.n_x)
+        g *= _constant_solution(n_x, v, 1.0, support) if w is None else w[support]
+        gains.append(float(np.sum(g)) / n_x)
     eye = np.eye(p)
     target = np.hstack([g * eye for g in gains])
     inputm = np.hstack([a * eye for a in cfg.alphas])

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +343,13 @@ def test_constant_forcing_is_finite_symmetric_and_linear(n_x, potential, c):
     assert (np.abs(z - scaled) <= 2 * np.spacing(np.abs(scaled))).all()
 
 
+@pytest.mark.parametrize("potential", [-1.0, float("nan")])
+@pytest.mark.parametrize("f", [np.ones(15), np.linspace(-1.0, 1.0, 15)], ids=["constant", "ramp"])
+def test_green_apply_refuses_a_negative_or_nan_potential(potential, f):
+    with pytest.raises(ValueError, match="potential"):
+        E.green_apply(16, potential, f)
+
+
 def _full_grid_profile(n_x, width, center):
     """The component's profile on every interior node, by its definition."""
     if width is None:
@@ -388,6 +397,8 @@ def test_gains_match_per_component_definition(n_x, width, centers, varying_ell):
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_elliptic_builder_solves_once(monkeypatch, d):
+    # the default ell reads the closed form on each bump's support, with no
+    # solve; an explicit ell takes one solve on the whole grid for every component
     counts = count_calls(monkeypatch, representation, "green_apply")
     cfg = E.EllipticConfig(
         n_x=128,
@@ -396,7 +407,68 @@ def test_elliptic_builder_solves_once(monkeypatch, d):
         alphas=(1.0,) * d,
     )
     E.build_elliptic_representation(cfg)
+    assert counts == {"green_apply": 0}
+    E.build_elliptic_representation(replace(cfg, ell=tuple(np.linspace(0.5, 1.5, 127))))
     assert counts == {"green_apply": 1}
+    # flat profiles all read the whole grid, so they share one solve
+    E.build_elliptic_representation(replace(cfg, bump_width=None))
+    assert counts == {"green_apply": 2}
+
+
+@st.composite
+def _bump_configs(draw):
+    """Elliptic configs with 1-4 bumps, some within a width of 0 or 1."""
+    width = 10.0 ** draw(st.floats(-3.0, 0.0))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    near = st.one_of(unit, unit.map(lambda u: u * width), unit.map(lambda u: 1.0 - u * width))
+    centers = draw(st.lists(near.filter(lambda c: 0.0 < c < 1.0), min_size=1, max_size=4))
+    return E.EllipticConfig(
+        n_x=draw(st.integers(2, 3000)),
+        potential=draw(st.one_of(st.just(0.0), st.floats(-3.0, 9.0).map(lambda e: 10.0**e))),
+        bump_width=width,
+        bump_centers=tuple(centers),
+        alphas=(1.0,) * len(centers),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_bump_configs())
+def test_default_ell_gains_equal_the_full_grid_solve_bitwise(cfg):
+    # the closed form read on each support against an explicit all-ones ell,
+    # which green_apply solves on the whole grid
+    ones = replace(cfg, ell=(1.0,) * (cfg.n_x - 1))
+    try:
+        _, meta = E.build_elliptic_representation(cfg)
+    except E.BadConfig:  # a bump that misses every node
+        with pytest.raises(E.BadConfig):
+            E.build_elliptic_representation(ones)
+        return
+    _, full = E.build_elliptic_representation(ones)
+    assert [g.hex() for g in meta["component_gains"]] == [
+        g.hex() for g in full["component_gains"]
+    ]
+
+
+def test_mollifier_matches_the_masked_formula_bitwise():
+    near = np.nextafter(1.0, 0.0)
+    s = np.array([0.0, near, -near, 1.0, -1.0, 1.5, -1.5, 1e300, -1e300, 0.3, -0.999])
+    masked = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    masked[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
+    assert representation._mollifier(s.copy()).tobytes() == masked.tobytes()
+
+
+def test_default_ell_build_makes_no_grid_sized_array():
+    n_x = 2_000_000
+    cfg = E.EllipticConfig(n_x=n_x, potential=1.3, bump_width=0.005,
+                           bump_centers=(0.2, 0.4, 0.6, 0.8), alphas=(1.0,) * 4)
+    tracemalloc.start()
+    try:
+        E.build_elliptic_representation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_x
 
 
 def test_green_functional_grid_limit():
